@@ -25,10 +25,10 @@ Usage::
                                        # + an artifact run directory
     python -m repro serve --store out.jsonl --endpoint 9100
                                        # scrape a store without a campaign
-    python -m repro campaign serve-work --app wavetoy -n 200 \
-        --serve 9200 --store out.sqlite    # coordinate a distributed
-                                           # campaign: lease trial batches
-                                           # to workers over HTTP
+    python -m repro campaign run --app wavetoy -n 200 \
+        --distribute 9200 --store out.sqlite   # execute on a fleet:
+                                           # lease trial batches to
+                                           # workers over HTTP
     python -m repro campaign work 127.0.0.1:9200 --jobs 4
                                        # pull, execute, and submit leased
                                        # batches until the campaign is done
@@ -426,6 +426,19 @@ def cmd_campaign_run(args) -> int:
     if args.resume and not args.store:
         print("--resume requires --store", file=sys.stderr)
         return 2
+    # Trace events do not cross the wire, and a distributing
+    # coordinator executes nothing, so a local pool is moot.
+    clash = [
+        f"--{name}"
+        for name in ("trace", "jobs", "serve")
+        if args.distribute and getattr(args, name) is not None
+    ]
+    if clash:
+        print(
+            f"--distribute cannot be combined with {', '.join(clash)}",
+            file=sys.stderr,
+        )
+        return 2
     try:
         campaign = Campaign.from_registry(
             args.app,
@@ -440,21 +453,21 @@ def cmd_campaign_run(args) -> int:
     # A single registry backs every metrics consumer: the textfile
     # export, the live /metrics endpoint, and the artifact flushes all
     # read the same state, so their totals agree exactly.
-    want_metrics = bool(args.metrics or args.serve or args.artifacts)
+    endpoint = args.serve or args.distribute
+    want_metrics = bool(args.metrics or endpoint or args.artifacts)
     metrics = MetricsRegistry() if want_metrics else None
     collector = TraceCollector() if args.trace else None
 
-    telemetry = server = None
-    if args.serve:
-        from repro.observability.serve import TelemetryHub, serve_endpoint
+    telemetry = None
+    if endpoint:
+        from repro.observability.serve import TelemetryHub, parse_endpoint
 
-        telemetry = TelemetryHub(registry=metrics)
         try:
-            server = serve_endpoint(telemetry, args.serve)
+            parse_endpoint(endpoint)
         except ValueError as exc:
             print(exc, file=sys.stderr)
             return 2
-        print(f"serving telemetry at {server.url}", file=sys.stderr)
+        telemetry = TelemetryHub(registry=metrics)
 
     artifacts = None
     if args.artifacts:
@@ -485,14 +498,11 @@ def cmd_campaign_run(args) -> int:
 
     stride = None if args.no_checkpoint else args.checkpoint_stride
     t0 = time.time()
+    server = executor = None
     try:
-        result = campaign.run(
-            regions,
-            args.n,
+        with campaign.engine(
             jobs=args.jobs,
             store=args.store,
-            resume=args.resume,
-            target_d=args.target_d,
             log_interval=args.log_interval,
             progress=progress if args.log_interval else None,
             metrics=metrics,
@@ -503,8 +513,28 @@ def cmd_campaign_run(args) -> int:
             stratify=args.stratify,
             telemetry=telemetry,
             artifacts=artifacts,
-        )
+        ) as engine:
+            if endpoint:
+                from repro.observability.serve import serve_endpoint
+
+                if args.distribute:
+                    executor = engine.distribute()
+                server = serve_endpoint(telemetry, endpoint, routes=executor)
+                leases = " + /manifest /lease /submit /work" if executor else ""
+                print(f"serving telemetry at {server.url}{leases}", file=sys.stderr)
+            result = engine.run(
+                regions,
+                args.n,
+                target_d=args.target_d,
+                resume=args.resume,
+            )
         elapsed = time.time() - t0
+        if executor is not None:
+            # The closed executor answers "done"; keep serving that
+            # for a grace window so idle workers exit cleanly.
+            from repro.engine.coordination import LINGER_SECONDS
+
+            time.sleep(LINGER_SECONDS)
         if artifacts is not None:
             artifacts.finalize(metrics)
             print(f"wrote artifacts: {args.artifacts}", file=sys.stderr)
@@ -549,10 +579,15 @@ def cmd_campaign_run(args) -> int:
             )
     resumed = sum(r.resumed for r in result.regions.values())
     pruned = sum(r.pruned for r in result.regions.values())
+    where = (
+        f"on leased workers ({executor.requeues} batch(es) requeued)"
+        if executor is not None
+        else f"with jobs={args.jobs or 1}"
+    )
     print(
         f"{result.total_injections()} injections "
         f"({resumed} resumed from store, {pruned} statically pruned) "
-        f"in {elapsed:.1f}s with jobs={args.jobs or 1}",
+        f"in {elapsed:.1f}s {where}",
         file=sys.stderr,
     )
     return 0
@@ -584,96 +619,6 @@ def cmd_campaign_status(args) -> int:
             f"{s.pruned:>6} {s.error_rate_percent:>8.1f} "
             f"{s.achieved_d_percent:>6.1f}"
         )
-    return 0
-
-
-def cmd_campaign_serve_work(args) -> int:
-    """Coordinate a distributed campaign: plan every trial, serve leased
-    batches to ``campaign work`` workers over HTTP, fold submissions,
-    and print the same campaign table a local run would."""
-    from repro.engine.coordination import (
-        CampaignCoordinator,
-        CoordinatorService,
-    )
-    from repro.harness.tables import render_campaign_table
-    from repro.injection.campaign import Campaign
-    from repro.observability.serve import TelemetryHub, serve_endpoint
-
-    if args.resume and not args.store:
-        print("--resume requires --store", file=sys.stderr)
-        return 2
-    try:
-        campaign = Campaign.from_registry(
-            args.app,
-            nprocs=args.nprocs,
-            app_params=_parse_params(args.params),
-            seed=args.seed,
-        )
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
-    regions = _parse_regions(args.regions)
-    stride = None if args.no_checkpoint else args.checkpoint_stride
-    t0 = time.time()
-    with campaign.engine(
-        store=args.store,
-        checkpoint_stride=stride,
-        fastpath=args.fastpath,
-        prune_masked=args.prune_masked,
-        telemetry=TelemetryHub(),
-    ) as engine:
-        coordinator = CampaignCoordinator(
-            engine,
-            regions,
-            args.n,
-            batch_size=args.batch_size,
-            lease_timeout=args.lease_timeout,
-            resume=args.resume,
-        )
-        try:
-            server = serve_endpoint(CoordinatorService(coordinator), args.serve)
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        print(
-            f"coordinating {coordinator.trials} trials "
-            f"({coordinator.book.pending} batches to lease) at {server.url} "
-            "(/manifest /lease /submit /work + /metrics /status /progress)",
-            file=sys.stderr,
-        )
-        try:
-            while not coordinator.done:
-                time.sleep(0.2)
-        except KeyboardInterrupt:
-            print(
-                "interrupted; completed trials are in the store "
-                "(resume with --resume)",
-                file=sys.stderr,
-            )
-            server.stop()
-            return 1
-        result = coordinator.finalize()
-        elapsed = time.time() - t0
-        # Idle workers poll /lease between batches; keep answering
-        # "done" for a grace window so they exit cleanly.
-        time.sleep(args.linger)
-        server.stop()
-    print(
-        render_campaign_table(
-            result,
-            include_detection_columns=args.app != "wavetoy",
-            title=f"Fault Injection Results ({args.app})",
-        )
-    )
-    resumed = sum(r.resumed for r in result.regions.values())
-    pruned = sum(r.pruned for r in result.regions.values())
-    print(
-        f"{result.total_injections()} injections "
-        f"({resumed} resumed from store, {pruned} statically pruned, "
-        f"{coordinator.book.requeues} batch(es) requeued) "
-        f"in {elapsed:.1f}s",
-        file=sys.stderr,
-    )
     return 0
 
 
@@ -1054,6 +999,11 @@ def main(argv: list[str] | None = None) -> int:
                       "campaign runs: /metrics (Prometheus), /status "
                       "(per-region tallies), /progress (throughput, "
                       "ETA); bare ports bind 127.0.0.1")
+    crun.add_argument("--distribute", default=None, metavar="[HOST:]PORT",
+                      help="execute trials on 'campaign work' workers: "
+                      "serve leased batches (/manifest /lease /submit "
+                      "/work) beside the live telemetry endpoints; bare "
+                      "ports bind 127.0.0.1")
     crun.add_argument("--artifacts", default=None, metavar="DIR",
                       help="write an artifact-grade run directory: "
                       "manifest.json, events.jsonl, metrics.jsonl, "
@@ -1102,68 +1052,13 @@ def main(argv: list[str] | None = None) -> int:
                         "the suffix: .sqlite/.sqlite3/.db = SQLite, "
                         "anything else = JSONL)")
     cmerge.set_defaults(fn=cmd_campaign_merge)
-    cserve = camp_sub.add_parser(
-        "serve-work",
-        help="coordinate a distributed campaign: serve leased trial "
-        "batches over HTTP and fold worker submissions",
-    )
-    cserve.add_argument("--app", required=True,
-                        help="suite application: wavetoy, moldyn, climate")
-    cserve.add_argument("--regions", default="all",
-                        help="comma-separated regions (default: all eight)")
-    cserve.add_argument("-n", type=int, default=None,
-                        help="injections per region (default: plan)")
-    cserve.add_argument("--serve", default="127.0.0.1:9200",
-                        metavar="[HOST:]PORT",
-                        help="bind address for /manifest /lease /submit "
-                        "/work plus the live telemetry endpoints "
-                        "(default 127.0.0.1:9200)")
-    cserve.add_argument("--store", default=None,
-                        help="result store, JSONL or SQLite by suffix; "
-                        "every submitted trial is appended")
-    cserve.add_argument("--resume", action="store_true",
-                        help="skip trials already present in --store")
-    cserve.add_argument("--seed", type=int, default=20040607,
-                        help="campaign seed (default 20040607)")
-    cserve.add_argument("--nprocs", type=int, default=8,
-                        help="simulated MPI ranks (default 8)")
-    cserve.add_argument("--params", default=None,
-                        help="application build parameters, k=v,k=v")
-    cserve.add_argument("--batch-size", type=int, default=8,
-                        dest="batch_size",
-                        help="trials per leased batch (default 8)")
-    cserve.add_argument("--lease-timeout", type=float, default=60.0,
-                        dest="lease_timeout", metavar="SECONDS",
-                        help="requeue a leased batch not submitted "
-                        "within this window (default 60)")
-    cserve.add_argument("--linger", type=float, default=3.0,
-                        metavar="SECONDS",
-                        help="keep answering idle workers' polls this "
-                        "long after completion (default 3)")
-    cserve.add_argument("--checkpoint-stride", type=int, default=16,
-                        dest="checkpoint_stride", metavar="BLOCKS",
-                        help="workers replay the golden prefix at this "
-                        "stride, as in campaign run (default 16)")
-    cserve.add_argument("--no-checkpoint", action="store_true",
-                        dest="no_checkpoint",
-                        help="disable golden-prefix replay on workers")
-    cserve.add_argument("--prune-masked", action="store_true",
-                        dest="prune_masked",
-                        help="tally provably-masked faults as correct "
-                        "on the coordinator; only unproven trials are "
-                        "leased out")
-    cserve.add_argument("--fastpath", default=False,
-                        action=argparse.BooleanOptionalAction,
-                        help="workers execute through the translated "
-                        "dual-mode block engine (default off)")
-    cserve.set_defaults(fn=cmd_campaign_serve_work)
     cwork = camp_sub.add_parser(
         "work",
         help="join a distributed campaign as a worker: lease, execute, "
         "submit until done",
     )
     cwork.add_argument("coordinator", metavar="[HOST:]PORT",
-                       help="the serve-work coordinator's endpoint "
+                       help="the 'campaign run --distribute' endpoint "
                        "(bare port = 127.0.0.1)")
     cwork.add_argument("--jobs", type=int, default=None,
                        help="local worker processes per batch (default: "

@@ -114,28 +114,6 @@ class VM:
         return len(self._hooks)
 
     # ------------------------------------------------------------------
-    # checkpoint support
-    # ------------------------------------------------------------------
-    def capture_state(self) -> tuple:
-        """Picklable CPU-side state (registers, FPU, clock, retirement
-        counter).  Memory and pending hooks are captured separately: the
-        image belongs to the snapshot layer and hooks are per-trial
-        wiring armed *after* a restore."""
-        return (
-            self.regs.capture_state(),
-            self.fpu.capture_state(),
-            self.clock.blocks,
-            self.instructions_retired,
-        )
-
-    def restore_state(self, state: tuple) -> None:
-        regs, fpu, blocks, insns = state
-        self.regs.restore_state(regs)
-        self.fpu.restore_state(fpu)
-        self.clock.restore(blocks)
-        self.instructions_retired = insns
-
-    # ------------------------------------------------------------------
     # stack helpers (operate through the *register-file* ESP, so a
     # corrupted ESP derails pushes and pops exactly as on hardware)
     # ------------------------------------------------------------------

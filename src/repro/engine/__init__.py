@@ -1,9 +1,9 @@
 """The campaign execution engine.
 
 One authority for single-trial execution (budgets, install, classify),
-pluggable serial/parallel executors, an append-only JSONL result store
-with resume/merge, adaptive Cochran-half-width sampling, and progress
-callbacks.  ``Campaign``, ``run_with_fault``, the experiment registry
+pluggable serial/parallel/leased executors, an append-only JSONL result
+store with resume/merge, adaptive Cochran-half-width sampling, and
+progress callbacks.  ``Campaign``, ``run_with_fault``, the experiment registry
 and the ``python -m repro campaign`` CLI all flow through this package.
 """
 
@@ -19,15 +19,13 @@ from repro.engine.budgets import (
 from repro.engine.checkpoint import (
     CheckpointStore,
     GoldenRecording,
-    MachineSnapshot,
     ReplayPlan,
     plan_replay,
     record_golden,
 )
 from repro.engine.coordination import (
-    CampaignCoordinator,
-    CoordinatorService,
     LeaseBook,
+    LeasedExecutor,
     WorkerClient,
 )
 from repro.engine.core import ExecutionContext, execute_trial, run_single
@@ -68,13 +66,11 @@ __all__ = [
     "round_budget",
     "CheckpointStore",
     "GoldenRecording",
-    "MachineSnapshot",
     "ReplayPlan",
     "plan_replay",
     "record_golden",
-    "CampaignCoordinator",
-    "CoordinatorService",
     "LeaseBook",
+    "LeasedExecutor",
     "WorkerClient",
     "ExecutionContext",
     "execute_trial",

@@ -1,58 +1,58 @@
-"""Distributed campaign coordination: leased trial batches over HTTP.
+"""Distributed campaign execution: leased trial batches over HTTP.
 
-The campaign engine already has everything a fleet needs *except* the
-transport: picklable :class:`~repro.engine.trial.TrialSpec`s, one
-deterministic ``execute_trial`` authority, content-hash-keyed stores,
-and an order-independent tally fold.  This module adds the coordination
-plane on top of the PR 9 telemetry HTTP stack:
+A distributed campaign is a local campaign whose executor happens to
+be a fleet.  The driver (:class:`~repro.engine.driver.CampaignEngine`)
+still plans every trial, resolves store and prune hits, tallies, and
+feeds every sink; only the trials it would otherwise execute itself go
+over the wire.  This module supplies that executor and its workers,
+on top of the telemetry HTTP stack:
 
 * :class:`LeaseBook` - the pure lease state machine.  Batches move
   ``pending -> leased(deadline) -> done``; a lease that outlives its
   deadline is requeued, so a dead or hung worker's batch is eventually
   re-served to a live one.  Time is injected explicitly, which makes
   the machine property-testable under arbitrary interleavings.
-* :class:`CampaignCoordinator` - plans every trial spec up front
-  (satisfying what it can from the store and the masking oracle, like a
-  local run), partitions the rest into batches, folds submitted results
-  idempotently by trial key, and finalizes per-region results in trial
-  index order - bit-identical to a local ``jobs=N`` run by the same
-  determinism argument that makes worker count irrelevant locally.
-* :class:`CoordinatorService` - the telemetry facade bound to a
-  :class:`~repro.observability.serve.TelemetryServer`: the PR 9 scrape
-  endpoints (``/metrics`` ``/status`` ``/progress``) plus ``/manifest``
-  (GET, JSON), ``/work`` (GET, JSON lease accounting), ``/lease`` and
-  ``/submit`` (POST).
-* :class:`WorkerClient` - ``campaign work COORD:PORT``: pulls a batch,
-  executes through the one ``execute_trial`` authority (flags inherited
-  from the coordinator's manifest), pushes results back as plain JSON.
+* :class:`LeasedExecutor` - the same ``run(specs)``/``close()``/``jobs``
+  interface as the serial and process-pool executors.  Each ``run``
+  call turns the driver's missing specs into lease-book batches, serves
+  them at ``/lease``, folds ``/submit`` results idempotently by trial
+  key, and yields them in spec order - so tallies, stores and merged
+  metrics are bit-identical to a local run by the same argument that
+  makes worker count irrelevant locally.
+* :class:`WorkerClient` - ``campaign work COORD:PORT``: rebuilds the
+  campaign from ``/manifest``, refuses any execution-identity drift,
+  executes leased trials through the one ``execute_trial`` authority
+  and pushes results back.
 
-Wire-format trust is asymmetric by design: workers unpickle lease
-payloads from the coordinator they chose to connect to, but the
-coordinator never unpickles worker data - submissions are JSON, result
-keys are validated against the leased batch, and duplicate keys (a
-requeued batch delivered twice) are dropped, so a confused or duplicate
-worker cannot corrupt or double-count a tally.
+The wire is plain JSON in both directions.  A lease names its trials
+as ``[region, index, key]`` triples; the worker re-derives each spec
+with ``make_spec(region, index)`` and refuses a key mismatch.  A
+submission is validated against the leased spec (key, app, region and
+index), and duplicate keys (a requeued batch delivered twice) are
+dropped, so a confused or duplicate worker cannot misattribute, corrupt
+or double-count a trial.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import pickle
 import socket
 import threading
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from repro.engine.trial import TrialResult, TrialSpec
 from repro.injection.faults import Region
+from repro.observability.metrics import MetricsSnapshot
 
 #: Version stamped into the ``/manifest`` and ``/work`` payloads and
-#: checked by workers before executing anything.
-WORK_SCHEMA_VERSION = 1
+#: checked by workers before executing anything (2: leases are JSON
+#: ``[region, index, key]`` triples).
+WORK_SCHEMA_VERSION = 2
 
 #: Default trials per leased batch.
 DEFAULT_BATCH_SIZE = 8
@@ -60,6 +60,15 @@ DEFAULT_BATCH_SIZE = 8
 #: Default lease deadline in seconds: a batch not acknowledged within
 #: this window is requeued for another worker.
 DEFAULT_LEASE_TIMEOUT = 60.0
+
+#: Seconds a ``/lease`` request is held open waiting for a batch
+#: (long poll) before answering "wait": between the driver's dispatch
+#: waves workers stay parked on the server instead of sleeping blind.
+LEASE_POLL_SECONDS = 1.0
+
+#: Seconds the coordinator keeps answering "done" after the campaign
+#: completes, so idle workers exit cleanly instead of finding no server.
+LINGER_SECONDS = 3.0
 
 #: Seconds a worker waits between polls when no batch is pending.
 DEFAULT_POLL_INTERVAL = 0.5
@@ -99,7 +108,7 @@ class LeaseBook:
       worker;
     * ``ack`` is idempotent and accepts late acknowledgements from
       presumed-dead workers (their results are valid by determinism;
-      the coordinator's key-dedup fold prevents double counting).
+      the executor's key-dedup fold prevents double counting).
     """
 
     def __init__(
@@ -208,291 +217,225 @@ class LeaseBook:
         }
 
 
-def _chunks(specs: Sequence[TrialSpec], size: int) -> list[list[TrialSpec]]:
-    return [list(specs[i : i + size]) for i in range(0, len(specs), size)]
+def work_manifest(engine) -> dict:
+    """Everything a worker needs to rebuild the one execution authority
+    a campaign engine runs under, as plain JSON."""
+    ctx = engine.context
+    return {
+        "schema_version": WORK_SCHEMA_VERSION,
+        "app": ctx.app,
+        "nprocs": ctx.config.nprocs,
+        "app_params": dict(engine.app_params),
+        "seed": engine.seed,
+        "metrics": ctx.collect_metrics,
+        "execution": ctx.describe(),
+    }
 
 
-class CampaignCoordinator:
-    """Partitions one campaign into leased batches and folds results.
+def _json_reply(payload: dict) -> tuple[bytes, str]:
+    body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return body.encode(), "application/json"
 
-    Wraps a fully configured :class:`~repro.engine.driver.CampaignEngine`
-    (sampler, store, telemetry hub, prune oracle, fastpath/checkpoint
-    flags): the coordinator does everything the local driver does except
-    execute - trials proven masked are tallied synthetically, stored
-    trials are resumed, and only the rest are served to workers.
 
-    The fold is idempotent by trial key, so requeued batches delivered
-    twice (once by the presumed-dead worker, once by its replacement)
-    count once; :meth:`finalize` rebuilds the per-region results in
-    trial index order, making every tally bit-identical to a local
-    ``jobs=N`` run over the same campaign.
+class LeasedExecutor:
+    """Executes the driver's trials on remote workers.
+
+    Build it through :meth:`~repro.engine.driver.CampaignEngine.distribute`
+    and bind it as the ``routes`` of a
+    :class:`~repro.observability.serve.TelemetryServer`: it serves
+    ``/manifest`` and ``/work`` (GET) and ``/lease`` and ``/submit``
+    (POST) beside the scrape endpoints.  Each :meth:`run` call opens a
+    fresh :class:`LeaseBook` over its specs and blocks until workers
+    have submitted every one, yielding results in spec order.  Nothing
+    is executed here.
     """
+
+    #: The adaptive step ``max(MIN_ADAPTIVE_BATCH, 2 * jobs)`` equals a
+    #: serial run's (any value up to 4 does), so adaptive campaigns
+    #: execute the same trial set as a local ``jobs=1`` run; and since
+    #: ``jobs != 1``, per-trial records (which do not cross the wire)
+    #: are not kept by default.
+    jobs = 2
 
     def __init__(
         self,
-        engine,
-        regions: Iterable[Region],
-        n: int | None = None,
+        manifest: dict,
         *,
         batch_size: int = DEFAULT_BATCH_SIZE,
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
-        resume: bool = False,
         clock=time.monotonic,
     ) -> None:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1: {batch_size}")
-        if engine.stratifier is not None:
-            raise ValueError(
-                "serve-work campaigns are fixed-n uniform; stratified "
-                "Neyman waves need complete-wave feedback and stay local"
-            )
-        self.engine = engine
+        self.manifest = manifest
+        self.batch_size = batch_size
+        self.lease_timeout = lease_timeout
         self.clock = clock
-        self.lock = threading.RLock()
+        #: Guards every field below; notified when batches open, when
+        #: results arrive and on close.
+        self.lock = threading.Condition()
+        self.book = LeaseBook((), lease_timeout)
+        #: The open ``run`` call's batches, ``batch id -> {key: spec}``.
+        self._batches: dict[int, dict[str, TrialSpec]] = {}
         self._results: dict[str, TrialResult] = {}
-        self._specs_by_region: dict[Region, list[TrialSpec]] = {}
-        self._batches: dict[int, list[TrialSpec]] = {}
-        self._batch_keys: dict[int, frozenset[str]] = {}
+        self._next_batch = 0
+        self._past_requeues = 0
+        self._closed = False
 
-        stored = engine._stored_results(resume)
-        for region in regions:
-            count = n if n is not None else engine.plan.n_for(region.value)
-            specs = [engine.make_spec(region, i) for i in range(count)]
-            self._specs_by_region[region] = specs
-            if engine.telemetry is not None:
-                engine.telemetry.note_region(
-                    engine.context.app, region.value, count
-                )
-            missing: list[TrialSpec] = []
-            for spec in specs:
-                hit = stored.get(spec.key)
-                if hit is not None:
-                    self._accept_local(hit, append=False)
-                    continue
-                if engine.prune is not None:
-                    verdict = engine.prune(spec.fault)
-                    if verdict.masked:
-                        self._accept_local(
-                            engine._pruned_result(spec, verdict.reason),
-                            append=True,
+    @property
+    def requeues(self) -> int:
+        """Leases requeued after their deadline, over every ``run``."""
+        return self._past_requeues + self.book.requeues
+
+    # ------------------------------------------------------------------
+    # the executor interface
+    # ------------------------------------------------------------------
+    def run(self, specs: Iterable[TrialSpec]) -> Iterator[TrialResult]:
+        """Open ``specs`` for leasing now; the returned iterator blocks
+        until each result has been submitted, in spec order."""
+        specs = list(specs)
+        if not specs:
+            return iter(())
+        with self.lock:
+            if self._closed:
+                raise RuntimeError("leased executor is closed")
+            first = self._next_batch
+            self._batches = {
+                first + i: {
+                    spec.key: spec for spec in specs[j : j + self.batch_size]
+                }
+                for i, j in enumerate(range(0, len(specs), self.batch_size))
+            }
+            self._next_batch = first + len(self._batches)
+            self._past_requeues += self.book.requeues
+            self.book = LeaseBook(self._batches, self.lease_timeout)
+            self._results = {}
+            self.lock.notify_all()
+        return self._in_order(specs)
+
+    def _in_order(self, specs: list[TrialSpec]) -> Iterator[TrialResult]:
+        for spec in specs:
+            with self.lock:
+                while spec.key not in self._results:
+                    if self._closed:
+                        raise RuntimeError(
+                            "leased executor closed with trials outstanding"
                         )
-                        continue
-                missing.append(spec)
-            for chunk in _chunks(missing, batch_size):
-                bid = len(self._batches)
-                self._batches[bid] = chunk
-                self._batch_keys[bid] = frozenset(s.key for s in chunk)
-        self.book = LeaseBook(self._batches, lease_timeout)
+                    self.lock.wait()
+                result = self._results[spec.key]
+            yield result
 
-    # ------------------------------------------------------------------
-    # result fold (one key, one count - ever)
-    # ------------------------------------------------------------------
-    def _accept_local(self, result: TrialResult, *, append: bool) -> None:
-        """Fold a coordinator-side result (stored-resumed or pruned)."""
-        self._results[result.key] = result
-        if append and self.engine.store is not None:
-            self.engine.store.append(result)
-        with self.engine._sink_lock():
-            self.engine._observe(result)
-            if self.engine.telemetry is not None:
-                self.engine.telemetry.note_trial(result)
-
-    @property
-    def trials(self) -> int:
-        return sum(len(s) for s in self._specs_by_region.values())
-
-    @property
-    def done(self) -> bool:
-        return self.book.all_done
+    def close(self) -> None:
+        """Stop leasing: every later ``/lease`` answers "done"."""
+        with self.lock:
+            self._closed = True
+            self.lock.notify_all()
 
     # ------------------------------------------------------------------
     # protocol payloads
     # ------------------------------------------------------------------
-    def manifest(self) -> dict:
-        """Everything a worker needs to rebuild the one execution
-        authority this campaign runs under."""
-        ctx = self.engine.context
-        return {
-            "schema_version": WORK_SCHEMA_VERSION,
-            "app": ctx.app,
-            "nprocs": ctx.config.nprocs,
-            "app_params": dict(self.engine.app_params),
-            "seed": self.engine.seed,
-            "config_seed": ctx.config.seed,
-            "checkpoint_stride": ctx.checkpoint_stride,
-            "fastpath": ctx.fastpath,
-            "regions": [r.value for r in self._specs_by_region],
-            "trials": self.trials,
-            "batches": len(self._batches),
-            "lease_timeout": self.book.lease_timeout,
-        }
-
-    def lease_payload(self, worker: str) -> dict:
-        """One worker's next unit of work: a batch grant, a wait hint,
-        or the done signal."""
+    def lease_payload(self, worker: str, block: float = 0.0) -> dict:
+        """One worker's next unit of work: a batch grant, a "wait"
+        after ``block`` seconds with nothing grantable, or "done"."""
+        deadline = time.monotonic() + block
         with self.lock:
-            bid = self.book.lease(worker, self.clock())
-            if bid is None:
-                if self.book.all_done:
+            while True:
+                if self._closed:
                     return {"done": True}
-                return {"wait": min(self.book.lease_timeout / 2, 2.0)}
-            return {
-                "batch": bid,
-                "attempt": self.book._leases[bid].grants,
-                "specs": self._batches[bid],
-            }
+                bid = self.book.lease(worker, self.clock())
+                if bid is not None:
+                    return {
+                        "batch": bid,
+                        "attempt": self.book._leases[bid].grants,
+                        "trials": [
+                            [spec.region.value, spec.index, key]
+                            for key, spec in self._batches[bid].items()
+                        ],
+                    }
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return {"wait": 0.0}
+                self.lock.wait(remaining)
 
-    def submit(self, worker: str, batch_id: int, payloads: list[dict]) -> dict:
+    def _accept(self, obj, specs: dict[str, TrialSpec]) -> TrialResult | None:
+        """Parse one submitted result; ``None`` unless it is well formed
+        and describes exactly the leased spec filed under its key."""
+        try:
+            result = TrialResult.from_json(obj)
+            metrics = obj.get("metrics")
+            if metrics is not None:
+                result.metrics = MetricsSnapshot.from_json(metrics)
+        except (KeyError, ValueError, TypeError, AttributeError):
+            return None
+        spec = specs.get(result.key)
+        if spec is None or (result.app, result.region, result.index) != (
+            spec.app,
+            spec.region,
+            spec.index,
+        ):
+            return None
+        if (result.metrics is not None) != bool(self.manifest["metrics"]):
+            return None
+        # Rehydration marks results resumed; these were freshly
+        # executed, just remotely.
+        result.resumed = False
+        return result
+
+    def submit(self, worker: str, batch_id: int, payloads: list) -> dict:
         """Fold one batch's submitted results; idempotent per key.
 
-        Results are accepted only for keys belonging to the named
-        batch; the batch is acknowledged once every one of its keys has
-        been folded (by this submission or an earlier duplicate).
+        The batch is acknowledged once every one of its keys has been
+        folded (by this submission or an earlier duplicate).
         """
         with self.lock:
-            keys = self._batch_keys.get(batch_id)
-            if keys is None:
+            specs = self._batches.get(batch_id)
+            if specs is None:
                 return {"error": f"unknown batch {batch_id}", "accepted": 0}
             accepted = duplicate = rejected = 0
             for obj in payloads:
-                try:
-                    result = TrialResult.from_json(obj)
-                except (KeyError, ValueError, TypeError, AttributeError):
+                result = self._accept(obj, specs)
+                if result is None:
                     rejected += 1
-                    continue
-                if result.key not in keys:
-                    rejected += 1
-                    continue
-                if result.key in self._results:
+                elif result.key in self._results:
                     duplicate += 1
-                    continue
-                # Rehydration marks results resumed; these were freshly
-                # executed, just remotely.
-                result.resumed = False
-                self._results[result.key] = result
-                if self.engine.store is not None:
-                    self.engine.store.append(result)
-                with self.engine._sink_lock():
-                    self.engine._observe(result)
-                    if self.engine.telemetry is not None:
-                        self.engine.telemetry.note_trial(result)
-                accepted += 1
-            if keys <= self._results.keys():
+                else:
+                    self._results[result.key] = result
+                    accepted += 1
+            if specs.keys() <= self._results.keys():
                 self.book.ack(batch_id, self.clock())
+            if accepted:
+                self.lock.notify_all()
             return {
                 "worker": worker,
                 "accepted": accepted,
                 "duplicate": duplicate,
                 "rejected": rejected,
-                "done": self.book.all_done,
+                "done": self._closed,
             }
 
     # ------------------------------------------------------------------
-    # completion
+    # HTTP routes (see repro.observability.serve.TelemetryServer)
     # ------------------------------------------------------------------
-    def wait(self, poll_interval: float = 0.2, timeout: float | None = None) -> bool:
-        """Block until every batch is done; returns False on timeout."""
-        deadline = None if timeout is None else self.clock() + timeout
-        while not self.done:
-            if deadline is not None and self.clock() >= deadline:
-                return False
-            time.sleep(poll_interval)
-        return True
-
-    def finalize(self):
-        """Fold the complete result set into a
-        :class:`~repro.injection.campaign.CampaignResult`.
-
-        Ingests per region in trial index order - a fixed order chosen
-        once, independent of which worker produced which result and
-        when - so the tallies are bit-identical to a local run's.
-        """
-        from repro.injection.campaign import CampaignResult, RegionResult
-
-        if not self.done:
-            raise RuntimeError(
-                f"campaign incomplete: {self.book.pending} pending, "
-                f"{self.book.leased} leased of {len(self._batches)} batches"
-            )
-        ctx = self.engine.context
-        campaign_result = CampaignResult(
-            app_name=ctx.app, nprocs=ctx.config.nprocs, seed=self.engine.seed
-        )
-        for region, specs in self._specs_by_region.items():
-            row = RegionResult(region)
-            for spec in specs:
-                result = self._results[spec.key]
-                row.tally.add(result.manifestation)
-                row.delivered += int(result.delivered)
-                if result.resumed:
-                    row.resumed += 1
-                elif result.detail.startswith("pruned:"):
-                    row.pruned += 1
-            campaign_result.regions[region] = row
-        return campaign_result
-
-
-class CoordinatorService:
-    """The telemetry source a coordinator binds to its HTTP server.
-
-    Scrape endpoints delegate to the engine's
-    :class:`~repro.observability.serve.TelemetryHub` (which the
-    coordinator's fold feeds, so ``/status`` totals track submissions
-    live); the coordination routes are served via the handler's
-    ``handle_get``/``handle_post`` extension points.
-    """
-
-    def __init__(self, coordinator: CampaignCoordinator) -> None:
-        hub = coordinator.engine.telemetry
-        if hub is None:
-            raise ValueError("CoordinatorService needs an engine telemetry hub")
-        self.coordinator = coordinator
-        self.hub = hub
-
-    # -- scrape endpoints (delegated) ---------------------------------
-    def metrics_text(self) -> str:
-        return self.hub.metrics_text()
-
-    def status_payload(self) -> dict:
-        return self.hub.status_payload()
-
-    def progress_payload(self) -> dict:
-        return self.hub.progress_payload()
-
-    # -- coordination routes ------------------------------------------
     def handle_get(self, path: str):
         if path == "/manifest":
-            body = json.dumps(
-                self.coordinator.manifest(), indent=2, sort_keys=True
-            )
-            return (body + "\n").encode(), "application/json"
+            return _json_reply(self.manifest)
         if path == "/work":
-            with self.coordinator.lock:
-                payload = self.coordinator.book.snapshot(
-                    self.coordinator.clock()
-                )
+            with self.lock:
+                payload = self.book.snapshot(self.clock())
+                payload["requeues"] = self.requeues
             payload["schema_version"] = WORK_SCHEMA_VERSION
-            body = json.dumps(payload, indent=2, sort_keys=True)
-            return (body + "\n").encode(), "application/json"
+            return _json_reply(payload)
         return None
 
     def handle_post(self, path: str, body: bytes):
+        obj = json.loads(body.decode() or "{}")
+        worker = str(obj.get("worker", "anonymous"))
         if path == "/lease":
-            obj = json.loads(body.decode() or "{}")
-            payload = self.coordinator.lease_payload(
-                str(obj.get("worker", "anonymous"))
-            )
-            return pickle.dumps(payload), "application/octet-stream"
+            return _json_reply(self.lease_payload(worker, LEASE_POLL_SECONDS))
         if path == "/submit":
-            obj = json.loads(body.decode())
-            payload = self.coordinator.submit(
-                str(obj.get("worker", "anonymous")),
-                int(obj["batch"]),
-                obj.get("results", []),
+            return _json_reply(
+                self.submit(worker, int(obj["batch"]), obj.get("results", []))
             )
-            return (
-                json.dumps(payload, sort_keys=True) + "\n"
-            ).encode(), "application/json"
         return None
 
 
@@ -510,6 +453,14 @@ def coordinator_url(endpoint: str) -> str:
     return f"http://{host}:{port}"
 
 
+def _wire(result: TrialResult) -> dict:
+    """A result as submitted: its store payload plus its metrics."""
+    payload = result.to_json()
+    if result.metrics is not None:
+        payload["metrics"] = result.metrics.to_json()
+    return payload
+
+
 @dataclass
 class WorkerStats:
     batches: int = 0
@@ -521,7 +472,8 @@ class WorkerClient:
     """One campaign worker: lease, execute, submit, repeat.
 
     Builds its campaign from the coordinator's ``/manifest`` through
-    the same registry path the local CLI uses, so
+    the same registry path the local CLI uses and stops unless the
+    rebuilt context's ``describe()`` equals the manifest's, so
     ``execute_trial`` runs under a context equal to the coordinator's -
     the precondition for bit-identical results.  ``jobs`` forwards to
     the worker's own engine, so one worker can drive a local process
@@ -583,15 +535,15 @@ class WorkerClient:
             f"{self.url}{path}: {last}"
         )
 
-    def _get_json(self, path: str) -> dict:
-        return json.loads(self._request(path).decode())
-
-    def _post_json(self, path: str, payload: dict) -> bytes:
-        return self._request(path, json.dumps(payload).encode())
+    def _post_json(self, path: str, payload: dict, **kwargs) -> dict:
+        return json.loads(
+            self._request(path, json.dumps(payload).encode(), **kwargs).decode()
+        )
 
     # -- the work loop ------------------------------------------------
     def _build_engine(self, manifest: dict):
         from repro.injection.campaign import Campaign
+        from repro.observability.metrics import MetricsRegistry
 
         if manifest.get("schema_version") != WORK_SCHEMA_VERSION:
             raise WorkerError(
@@ -599,41 +551,56 @@ class WorkerClient:
                 f"{manifest.get('schema_version')!r}, worker expects "
                 f"{WORK_SCHEMA_VERSION}"
             )
+        execution = manifest["execution"]
         campaign = Campaign.from_registry(
             manifest["app"],
             nprocs=int(manifest["nprocs"]),
             app_params=manifest.get("app_params") or {},
             seed=int(manifest["seed"]),
         )
-        return campaign.engine(
+        engine = campaign.engine(
             jobs=self.jobs,
-            checkpoint_stride=manifest.get("checkpoint_stride"),
-            fastpath=bool(manifest.get("fastpath", False)),
+            # The registry only switches per-trial collection on; the
+            # snapshots travel with each submission.
+            metrics=MetricsRegistry() if manifest.get("metrics") else None,
+            checkpoint_stride=execution.get("checkpoint_stride"),
+            fastpath=bool(execution.get("fastpath", False)),
         )
-
-    def _check_specs(self, engine, specs: list[TrialSpec]) -> None:
-        """A leased spec must match the worker's rebuilt execution
-        identity exactly; anything else would execute (and store) under
-        the wrong trial keys."""
-        ctx = engine.context
-        for spec in specs:
-            if (
-                spec.app != ctx.app
-                or spec.nprocs != ctx.config.nprocs
-                or spec.config_seed != ctx.config.seed
-                or spec.campaign_seed != engine.seed
-            ):
-                raise WorkerError(
-                    f"leased spec {spec.key} does not match the "
-                    f"manifest-built context (app/nprocs/seed drift)"
+        local = json.loads(json.dumps(engine.context.describe()))
+        drift = sorted(
+            name
+            for name in local.keys() | execution.keys()
+            if local.get(name) != execution.get(name)
+        )
+        if drift:
+            engine.close()
+            raise WorkerError(
+                "manifest execution identity does not match the rebuilt "
+                "context: "
+                + ", ".join(
+                    f"{name} {execution.get(name)!r} != {local.get(name)!r}"
+                    for name in drift
                 )
+            )
+        return engine
+
+    def _spec(self, engine, trial: list) -> TrialSpec:
+        """Re-derive one leased trial; its key must match exactly, or
+        the result would be stored under another execution's key."""
+        region, index, key = trial
+        spec = engine.make_spec(Region(region), int(index))
+        if spec.key != key:
+            raise WorkerError(
+                f"leased trial {region}#{index} has key {key}, but the "
+                f"manifest-built campaign derives {spec.key}"
+            )
+        return spec
 
     def run(self) -> WorkerStats:
-        manifest = self._get_json("/manifest")
+        manifest = json.loads(self._request("/manifest").decode())
         self.log(
             f"worker {self.name}: joined {manifest['app']} campaign at "
-            f"{self.url} ({manifest['trials']} trials, "
-            f"{manifest['batches']} batches)"
+            f"{self.url}"
         )
         with self._build_engine(manifest) as engine:
             while True:
@@ -643,12 +610,8 @@ class WorkerClient:
                 ):
                     return self.stats
                 try:
-                    grant = pickle.loads(
-                        self._request(
-                            "/lease",
-                            json.dumps({"worker": self.name}).encode(),
-                            retries=6,
-                        )
+                    grant = self._post_json(
+                        "/lease", {"worker": self.name}, retries=6
                     )
                 except WorkerError:
                     # Unreachable while holding no work: the campaign
@@ -665,16 +628,15 @@ class WorkerClient:
                 if "batch" not in grant:
                     time.sleep(float(grant.get("wait", self.poll_interval)))
                     continue
-                specs = grant["specs"]
-                self._check_specs(engine, specs)
+                specs = [self._spec(engine, trial) for trial in grant["trials"]]
                 if self.hold_seconds:
                     time.sleep(self.hold_seconds)
-                results = engine.run_trials(specs)
-                reply = json.loads(self._post_json("/submit", {
+                results = list(engine.executor().run(specs))
+                reply = self._post_json("/submit", {
                     "worker": self.name,
                     "batch": grant["batch"],
-                    "results": [result.to_json() for result in results],
-                }).decode())
+                    "results": [_wire(result) for result in results],
+                })
                 self.stats.batches += 1
                 self.stats.trials += len(results)
                 self.stats.duplicates += int(reply.get("duplicate", 0))
@@ -682,7 +644,8 @@ class WorkerClient:
                     f"worker {self.name}: batch {grant['batch']} "
                     f"(attempt {grant.get('attempt', 1)}): "
                     f"{reply.get('accepted', 0)} accepted, "
-                    f"{reply.get('duplicate', 0)} duplicate"
+                    f"{reply.get('duplicate', 0)} duplicate, "
+                    f"{reply.get('rejected', 0)} rejected"
                 )
                 if reply.get("done"):
                     # Exit on the submit acknowledgement rather than an

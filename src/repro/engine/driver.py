@@ -5,8 +5,9 @@ and "a filled-in :class:`~repro.injection.campaign.RegionResult`":
 
 * trial specs are sampled in the parent (one deterministic RNG stream
   per ``(campaign seed, region, index)``) and executed through a
-  pluggable executor - serial, or a process pool with ``jobs`` workers -
-  with bit-identical results either way;
+  pluggable executor - serial, a process pool with ``jobs`` workers, or
+  leased batches on remote workers (:meth:`CampaignEngine.distribute`) -
+  with bit-identical results every way;
 * an optional append-only :class:`~repro.engine.store.ResultStore`
   records every finished trial, enabling ``resume`` of interrupted or
   extended campaigns (only missing trials execute);
@@ -229,15 +230,6 @@ class CampaignEngine:
         self._executor = None
         self._stored: dict[str, TrialResult] | None = None
 
-    @property
-    def progress(self) -> Callable[[ProgressEvent], None] | None:
-        """Deprecated: the old callback, now held by the emitter."""
-        return self.emitter.callback
-
-    @property
-    def log_interval(self) -> int:
-        return self.emitter.log_interval
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
@@ -250,6 +242,23 @@ class CampaignEngine:
                 # worker then share the same recording.
                 context.checkpoint = checkpoint.default_store().get(context)
             self._executor = make_executor(context, self.jobs)
+        return self._executor
+
+    def distribute(self, **options):
+        """Execute this engine's trials on remote ``campaign work``
+        workers: installs and returns a
+        :class:`~repro.engine.coordination.LeasedExecutor` (``options``
+        go to its constructor) for the caller to bind to an HTTP
+        server.  Planning, store and prune resolution, tallies and
+        sinks stay here; no golden run is recorded, since nothing
+        executes locally."""
+        from repro.engine.coordination import LeasedExecutor, work_manifest
+
+        if self._executor is not None:
+            raise RuntimeError("the engine's executor is already running")
+        if self.context.trace:
+            raise ValueError("trace events do not cross the wire")
+        self._executor = LeasedExecutor(work_manifest(self), **options)
         return self._executor
 
     def close(self) -> None:
@@ -355,6 +364,18 @@ class CampaignEngine:
                 state.pending_records.append(
                     (spec.index, (spec.fault, result.record, result.manifestation))
                 )
+        self._sink(result)
+        due = self.emitter.note_trial(self.context.app, row.region.value)
+        # When log_interval divides the planned count, the last trial's
+        # periodic event would duplicate the region-final event emitted
+        # by run_region (same done count) - a legacy callback would see
+        # the region-complete state twice.  Suppress the periodic one.
+        if due and not (planned is not None and row.executions >= planned):
+            self._emit(state, planned, target_d, alpha, final=False)
+
+    def _sink(self, result: TrialResult) -> None:
+        """Fan one finished trial out to metrics, trace, telemetry and
+        artifacts, under the lock telemetry readers share."""
         with self._sink_lock():
             self._observe(result)
             if self.telemetry is not None:
@@ -363,13 +384,6 @@ class CampaignEngine:
                 self.artifacts.note_trial(result)
                 if self.metrics is not None and self.artifacts.metrics_flush_due():
                     self.artifacts.flush_metrics(self.metrics.snapshot())
-        due = self.emitter.note_trial(self.context.app, row.region.value)
-        # When log_interval divides the planned count, the last trial's
-        # periodic event would duplicate the region-final event emitted
-        # by run_region (same done count) - a legacy callback would see
-        # the region-complete state twice.  Suppress the periodic one.
-        if due and not (planned is not None and row.executions >= planned):
-            self._emit(state, planned, target_d, alpha, final=False)
 
     def _observe(self, result: TrialResult) -> None:
         """Fold one trial's observability payload into the driver sinks.
@@ -504,12 +518,7 @@ class CampaignEngine:
         CLI uses this to trace a single chosen trial."""
         out = []
         for result in self.executor().run(specs):
-            with self._sink_lock():
-                self._observe(result)
-                if self.telemetry is not None:
-                    self.telemetry.note_trial(result)
-                if self.artifacts is not None:
-                    self.artifacts.note_trial(result)
+            self._sink(result)
             if self.store is not None and not result.resumed:
                 self.store.append(result)
             out.append(result)

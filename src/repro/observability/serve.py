@@ -64,18 +64,18 @@ def parse_endpoint(text: str, default_host: str = "127.0.0.1") -> tuple[str, int
 
 
 def serve_endpoint(
-    telemetry, endpoint: str, default_host: str = "127.0.0.1"
+    telemetry, endpoint: str, default_host: str = "127.0.0.1", *, routes=None
 ) -> "TelemetryServer":
     """Parse ``[HOST:]PORT``, bind a :class:`TelemetryServer` to it and
     start serving.
 
     The one parse-and-bind home shared by ``campaign run --serve``,
-    ``campaign serve-work`` and ``python -m repro serve``; raises
+    ``campaign run --distribute`` and ``python -m repro serve``; raises
     :class:`ValueError` for a malformed endpoint (the CLIs report it
     and exit 2) and lets :class:`OSError` from a busy port propagate.
     """
     host, port = parse_endpoint(endpoint, default_host)
-    return TelemetryServer(telemetry, host, port).start()
+    return TelemetryServer(telemetry, host, port, routes=routes).start()
 
 
 class TelemetryHub:
@@ -236,15 +236,16 @@ _INDEX = (
 class _Handler(BaseHTTPRequestHandler):
     """One scrape request.  ``telemetry`` is bound per server class.
 
-    Beyond the three scrape endpoints, a telemetry source may expose
-    extra routes by defining ``handle_get(path) -> (body, ctype) |
-    None`` and/or ``handle_post(path, body) -> (body, ctype) | None``
-    (``None`` = not my route -> 404).  The distributed coordinator
-    serves ``/manifest``, ``/lease`` and ``/submit`` this way while
-    inheriting the scrape endpoints unchanged.
+    Beyond the three scrape endpoints, the server's ``routes`` object
+    may serve extra paths by defining ``handle_get(path) -> (body,
+    ctype) | None`` and/or ``handle_post(path, body) -> (body, ctype) |
+    None`` (``None`` = not my route -> 404).  A distributed campaign's
+    leased executor serves ``/manifest``, ``/work``, ``/lease`` and
+    ``/submit`` this way beside the scrape endpoints.
     """
 
     telemetry: TelemetryHub | StoreTelemetry
+    routes = None
 
     def _respond(self, body: bytes, ctype: str) -> None:
         self.send_response(200)
@@ -283,7 +284,7 @@ class _Handler(BaseHTTPRequestHandler):
                 body = _INDEX.encode()
                 ctype = "text/plain; charset=utf-8"
             else:
-                extra = getattr(self.telemetry, "handle_get", None)
+                extra = getattr(self.routes, "handle_get", None)
                 hit = extra(path) if extra is not None else None
                 if hit is None:
                     self.send_error(404, "unknown endpoint")
@@ -296,7 +297,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
         path = self.path.split("?", 1)[0]
-        handler = getattr(self.telemetry, "handle_post", None)
+        handler = getattr(self.routes, "handle_post", None)
         if handler is None:
             self.send_error(404, "unknown endpoint")
             return
@@ -330,9 +331,15 @@ class TelemetryServer:
         telemetry: TelemetryHub | StoreTelemetry,
         host: str = "127.0.0.1",
         port: int = 0,
+        *,
+        routes=None,
     ) -> None:
         self.telemetry = telemetry
-        handler = type("BoundHandler", (_Handler,), {"telemetry": telemetry})
+        handler = type(
+            "BoundHandler",
+            (_Handler,),
+            {"telemetry": telemetry, "routes": routes},
+        )
         self._httpd = ThreadingHTTPServer((host, port), handler)
         self._httpd.daemon_threads = True
         self._thread: threading.Thread | None = None

@@ -1,23 +1,15 @@
-"""MachineSnapshot round-trip: pause a job mid-run, capture, pickle,
-deliberately corrupt every snapshotted machine layer, restore, and
-prove the resumed execution is bit-identical to an uninterrupted one
-(console output, named outputs, round count, per-rank block clocks, and
-the full final machine digest).
+"""The scheduler's stepping API (``Job.begin``/``Job.step_round``).
 
-These tests drive the scheduler through the stepping API
-(``Job.begin``/``Job.step_round``) that the checkpoint layer is built
-on, so they also pin that API's contract: ``begin`` returns ``None``
-on a clean start and ``step_round`` returns ``None`` until the job
-produces a result.
+The golden-run recorder in :mod:`repro.engine.checkpoint` drives jobs
+through this API, so its contract is pinned here: ``begin`` returns
+``None`` on a clean start, ``step_round`` returns ``None`` until the
+job produces a result, and the stepped loop is exactly ``Job.run``.
 """
 
 from __future__ import annotations
 
-import pickle
-
 import pytest
 
-from repro.engine.checkpoint import MachineSnapshot
 from repro.mpi.simulator import Job, JobConfig
 from tests.conftest import (
     SMALL_NPROCS,
@@ -32,10 +24,6 @@ APPS = {
     "climate": small_climate,
 }
 
-#: Scheduler rounds to execute before pausing for the snapshot.  All
-#: three SMALL apps are still mid-computation at this point.
-PAUSE_ROUNDS = 3
-
 
 def make_job(app_name: str) -> Job:
     return Job(APPS[app_name](), JobConfig(nprocs=SMALL_NPROCS))
@@ -46,39 +34,6 @@ def step_to_completion(job: Job):
     while result is None:
         result = job.step_round()
     return result
-
-
-def scribble(job: Job) -> None:
-    """Corrupt state across every layer the snapshot claims to own:
-    registers, memory segments, clock, stack pointers, heap accounting,
-    channel counters, per-rank RNG streams and console output."""
-    vm = job.vms[0]
-    regs, fpu, blocks, insns = vm.capture_state()
-    r, eip, zf, sf, reads, writes = regs
-    mangled_regs = (
-        tuple((x ^ 0xDEADBEEF) & 0xFFFFFFFF for x in r),
-        (eip + 7) & 0xFFFFFFFF,
-        not zf,
-        sf,
-        reads,
-        writes,
-    )
-    vm.restore_state((mangled_regs, fpu, blocks + 9999, insns + 12345))
-
-    image = job.images[0]
-    image.data.buf[:64] ^= 0xFF
-    image.data.version += 3
-    image.stack_segment.buf[:32] ^= 0xA5
-    image.stack.esp = (image.stack.esp - 64) & 0xFFFFFFFF
-    image.stack.ebp = (image.stack.ebp + 8) & 0xFFFFFFFF
-    image.heap.high_water += 1234
-
-    job.endpoints[0].bytes_received += 4096
-    job.adis[0]._seq += 17
-    job.contexts[1].rng.integers(1 << 16)  # advance the stream
-    job.stdout.append("garbage line from a corrupted run")
-    job.outputs["scribbled"] = b"\x00\x01"
-    job.rounds += 5
 
 
 def result_fields(result):
@@ -95,60 +50,9 @@ def result_fields(result):
 
 @pytest.mark.parametrize("app_name", sorted(APPS))
 class TestRoundTrip:
-    def test_corrupt_restore_resume_bit_identical(self, app_name):
-        baseline_job = make_job(app_name)
-        baseline = baseline_job.run()
-        assert baseline.completed
-
-        job = make_job(app_name)
-        assert job.begin() is None
-        for _ in range(PAUSE_ROUNDS):
-            assert job.step_round() is None
-
-        snapshot = MachineSnapshot.capture(job)
-        digest = snapshot.digest()
-
-        # The snapshot must survive a pickle round trip unchanged (this
-        # is how recordings/state would ship to pool workers).
-        clone = pickle.loads(pickle.dumps(snapshot, protocol=4))
-        assert clone.digest() == digest
-
-        scribble(job)
-        assert MachineSnapshot.capture(job).digest() != digest
-
-        clone.restore(job)
-        assert MachineSnapshot.capture(job).digest() == digest
-
-        resumed = step_to_completion(job)
-        assert result_fields(resumed) == result_fields(baseline)
-        assert (
-            MachineSnapshot.capture(job).digest()
-            == MachineSnapshot.capture(baseline_job).digest()
-        )
-
     def test_stepping_api_matches_run(self, app_name):
         """begin + step_round loop is exactly ``Job.run``."""
         stepped_job = make_job(app_name)
         assert stepped_job.begin() is None
         stepped = step_to_completion(stepped_job)
         assert result_fields(stepped) == result_fields(make_job(app_name).run())
-
-
-class TestSnapshotContract:
-    def test_digest_distinguishes_rounds(self):
-        job = make_job("wavetoy")
-        assert job.begin() is None
-        assert job.step_round() is None
-        d1 = MachineSnapshot.capture(job).digest()
-        assert job.step_round() is None
-        d2 = MachineSnapshot.capture(job).digest()
-        assert d1 != d2
-
-    def test_restore_rejects_wrong_nprocs(self):
-        job = make_job("wavetoy")
-        assert job.begin() is None
-        snapshot = MachineSnapshot.capture(job)
-        other = Job(small_wavetoy(), JobConfig(nprocs=2))
-        assert other.begin() is None
-        with pytest.raises(ValueError, match="ranks"):
-            snapshot.restore(other)

@@ -171,6 +171,64 @@ class TestServeAndArtifactsCli:
         assert main(args) == 2
         assert "expected [HOST:]PORT" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra", [["--trace", "t.json"], ["--jobs", "2"], ["--serve", "0"]]
+    )
+    def test_distribute_refuses_local_only_flags(self, capsys, tmp_path, extra):
+        args = campaign_run_args(
+            tmp_path / "out.jsonl",
+            ["-n", "1", "--distribute", "127.0.0.1:0", *extra],
+        )
+        assert main(args) == 2
+        assert (
+            f"--distribute cannot be combined with {extra[0]}"
+            in capsys.readouterr().err
+        )
+
+    def test_distribute_matches_local_run(self, capsys, tmp_path, monkeypatch):
+        """campaign run --distribute plus a worker writes the store and
+        the --metrics file a local run writes, byte for byte."""
+        import socket
+        import threading
+
+        from repro.engine import coordination
+
+        monkeypatch.setattr(coordination, "LINGER_SECONDS", 0.0)
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+
+        def args(name):
+            return campaign_run_args(
+                tmp_path / f"{name}.jsonl",
+                ["-n", "3", "--metrics", str(tmp_path / f"{name}.prom")],
+            )
+
+        assert main(args("local")) == 0
+        box = {}
+        coordinator = threading.Thread(
+            target=lambda: box.update(
+                code=main(args("dist") + ["--distribute", f"127.0.0.1:{port}"])
+            )
+        )
+        coordinator.start()
+        stats = coordination.WorkerClient(
+            f"127.0.0.1:{port}", poll_interval=0.2
+        ).run()
+        coordinator.join(timeout=120)
+        assert not coordinator.is_alive()
+        assert box["code"] == 0
+        assert stats.trials == 3
+        assert "on leased workers" in capsys.readouterr().err
+        local, dist = (
+            sorted((tmp_path / f"{name}.jsonl").read_text().splitlines())
+            for name in ("local", "dist")
+        )
+        assert local == dist
+        assert (tmp_path / "local.prom").read_text() == (
+            tmp_path / "dist.prom"
+        ).read_text()
+
     def test_status_streams_store(self, capsys, tmp_path):
         """campaign status --json rows come from the streaming fold."""
         import json as _json

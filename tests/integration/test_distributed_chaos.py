@@ -1,7 +1,8 @@
 """Chaos test: a worker dies mid-batch; the campaign doesn't notice.
 
-One coordinator (in-process, so the test can watch the lease book) and
-two real ``python -m repro campaign work`` subprocesses.  The victim
+One coordinator (an in-process campaign engine driving a leased
+executor on a thread, so the test can watch the lease book) and two
+real ``python -m repro campaign work`` subprocesses.  The victim
 worker leases a batch and parks on the :data:`HOLD_ENV` test hook; the
 test SIGKILLs it while the lease is outstanding.  The coordinator must
 requeue the orphaned batch at its deadline, the surviving worker must
@@ -15,15 +16,12 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
 
-from repro.engine.coordination import (
-    HOLD_ENV,
-    CampaignCoordinator,
-    CoordinatorService,
-)
+from repro.engine.coordination import HOLD_ENV
 from repro.injection.campaign import Campaign
 from repro.injection.faults import Region
 from repro.observability.serve import TelemetryHub, TelemetryServer
@@ -73,10 +71,16 @@ def test_sigkilled_worker_batch_is_requeued_and_tallies_match(tmp_path):
     engine = Campaign.from_registry(
         "wavetoy", nprocs=SMALL_NPROCS, app_params=SMALL_WAVETOY
     ).engine(telemetry=TelemetryHub(), store=tmp_path / "dist.jsonl")
-    coordinator = CampaignCoordinator(
-        engine, REGIONS, N, batch_size=2, lease_timeout=LEASE_TIMEOUT
-    )
-    server = TelemetryServer(CoordinatorService(coordinator)).start()
+    executor = engine.distribute(batch_size=2, lease_timeout=LEASE_TIMEOUT)
+    server = TelemetryServer(engine.telemetry, routes=executor).start()
+    box = {}
+
+    def drive():
+        with engine:
+            box["result"] = engine.run(REGIONS, N)
+
+    driver = threading.Thread(target=drive, daemon=True)
+    driver.start()
     victim = survivor = None
     try:
         # The victim parks (holding its lease) before executing anything.
@@ -88,8 +92,8 @@ def test_sigkilled_worker_batch_is_requeued_and_tallies_match(tmp_path):
         )
 
         def victim_holds_lease():
-            with coordinator.lock:
-                snap = coordinator.book.snapshot(coordinator.clock())
+            with executor.lock:
+                snap = executor.book.snapshot(executor.clock())
             return any(l["worker"] == "victim" for l in snap["leases"])
 
         assert wait_until(victim_holds_lease), "victim never leased a batch"
@@ -102,22 +106,23 @@ def test_sigkilled_worker_batch_is_requeued_and_tallies_match(tmp_path):
             stdout=subprocess.DEVNULL,
             stderr=subprocess.PIPE,
         )
-        assert wait_until(lambda: coordinator.done), (
+        assert wait_until(lambda: not driver.is_alive()), (
             "campaign never completed: "
-            f"{coordinator.book.snapshot(coordinator.clock())}"
+            f"{executor.book.snapshot(executor.clock())}"
         )
-        result = coordinator.finalize()
+        result = box["result"]
         _, err = survivor.communicate(timeout=60)
         assert survivor.returncode == 0, err.decode()
     finally:
         for proc in (victim, survivor):
             if proc is not None and proc.poll() is None:
                 proc.kill()
+        executor.close()
         server.stop()
         engine.close()
 
     # The orphaned lease was requeued, not lost.
-    assert coordinator.book.requeues >= 1
+    assert executor.requeues >= 1
 
     # Zero statistical footprint: tallies identical to the serial run...
     for region in REGIONS:

@@ -49,7 +49,7 @@ def test_no_spec_lost_or_double_counted(n_batches, sequence):
     def fold_submission(bid: int) -> None:
         """A worker submits its batch: first delivery of a key is
         tallied, duplicates are dropped, then the batch is acked -
-        exactly ``CampaignCoordinator.submit``'s fold."""
+        exactly ``LeasedExecutor.submit``'s fold."""
         for key in specs[bid]:
             if key in seen:
                 continue
