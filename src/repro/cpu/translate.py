@@ -1,4 +1,4 @@
-"""Ahead-of-time block translation: the fast half of the dual-mode VM.
+"""Block translation: the fast half of the dual-mode VM.
 
 ZOFI-style architecture (PAPERS.md, arXiv:1906.09390): run free of
 per-instruction instrumentation wherever no observer can see
@@ -36,13 +36,19 @@ loop then interprets instruction by instruction, so hooks fire and
 ``HangDetected`` raises at exactly the same instruction boundary as a
 pure interpreter run.
 
-Translations are cached per ``(code digest, base address)``, so every
-rank, trial and campaign wave sharing a program shares one compile.
+Translations are cached per ``(code digest, base address)`` in a
+bounded least-recently-used cache, so every rank, trial and campaign
+wave sharing a program shares one compile.  A process image's dispatch
+table is lazy (:func:`build_vm_table`): a function compiles on its
+first dispatch at its current bytes, so code that never runs after a
+TEXT flip, such as a retired startup routine or a cold function, is
+never compiled.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -687,8 +693,21 @@ def _emit_insn(em, i: Insn, j: int, addr: int, flags_live: bool, barrier):
 # ----------------------------------------------------------------------
 # compilation + cache
 # ----------------------------------------------------------------------
-#: (code digest, base address) -> {entry addr: (unit fn, n insns)}.
-_TRANSLATIONS: dict[tuple[bytes, int], dict] = {}
+#: Most translations kept; beyond it the least recently used is dropped.
+#: Clean functions are looked up on every table build and stay recent,
+#: while a corrupted variant is used by the one trial that made it.
+TRANSLATION_CACHE_SIZE = 128
+
+#: (code digest, base address) -> {entry addr: (unit fn, n insns)},
+#: in least-to-most recently used order.
+_TRANSLATIONS: OrderedDict[tuple[bytes, int], dict] = OrderedDict()
+
+
+def _cached(key: tuple[bytes, int]) -> dict | None:
+    cached = _TRANSLATIONS.get(key)
+    if cached is not None:
+        _TRANSLATIONS.move_to_end(key)
+    return cached
 
 
 def translation_for(name: str, code: bytes, base: int) -> dict:
@@ -696,9 +715,11 @@ def translation_for(name: str, code: bytes, base: int) -> dict:
     ``base``.  Returns ``{}`` for objects that cannot be translated as
     a whole (undecodable or misaligned); cached per content digest."""
     key = (code_digest(code), base)
-    cached = _TRANSLATIONS.get(key)
+    cached = _cached(key)
     if cached is None:
         cached = _TRANSLATIONS[key] = _translate(name, code, base)
+        while len(_TRANSLATIONS) > TRANSLATION_CACHE_SIZE:
+            _TRANSLATIONS.popitem(last=False)
     return cached
 
 
@@ -733,17 +754,31 @@ def compile_plan(name: str, insns, plan: FunctionPlan, base: int) -> dict:
     }
 
 
-def build_vm_table(image) -> dict:
-    """Merge the translations of every text symbol in a process image
-    into one dispatch table (entry address -> unit)."""
+def build_vm_table(image) -> tuple[dict, list[tuple[int, int, str]]]:
+    """The dispatch table of a process image's current text, built
+    lazily: ``(table, pending)``.
+
+    ``table`` maps entry addresses to units of every text symbol whose
+    current bytes are already translated.  Every other symbol is left
+    untranslated in ``pending``, an address-sorted list of ``(start,
+    end, name)`` ranges; the VM compiles one through
+    :func:`translation_for` when execution first reaches it, so a
+    function that never runs at these bytes (cold code, or a
+    corrupted function that has already retired) is never compiled.
+    """
     text = image.text
     table: dict = {}
+    pending: list[tuple[int, int, str]] = []
     for sym in image.symtab.symbols("text"):
         if sym.size == 0 or sym.size % INSN_SIZE:
             continue
         code = text.read_bytes(sym.addr, sym.size)
-        table.update(translation_for(sym.name, code, sym.addr))
-    return table
+        cached = _cached((code_digest(code), sym.addr))
+        if cached is None:
+            pending.append((sym.addr, sym.addr + sym.size, sym.name))
+        else:
+            table.update(cached)
+    return table, pending
 
 
 # ----------------------------------------------------------------------

@@ -21,6 +21,8 @@ Every design choice serves the fault-injection experiment:
 
 from __future__ import annotations
 
+import bisect
+from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -83,9 +85,13 @@ class VM:
             "interpreted_insns": 0,
             "horizon_insns": 0,
             "retranslations": 0,
+            "lazy_translations": 0,
             "observer_runs": 0,
         }
         self._fast_table: dict | None = None
+        self._fast_pending: list[tuple[int, int, str]] = []
+        #: ``eip`` when the table was built (see ``_run_fast``).
+        self._fast_midflight = RET_SENTINEL
         self._fast_version = -1
         #: Working-set tracking needs per-access events, which only the
         #: interpreter emits.
@@ -193,13 +199,23 @@ class VM:
         A unit refuses to run (and we interpret one instruction) when
         its block cost would reach the next ``schedule_hook`` horizon or
         cross the hang budget, so hooks fire and :class:`HangDetected`
-        raises at exactly the interpreter's instruction boundary.  A
-        text-segment fault (version bump) re-translates against the
-        *current* bytes: unchanged functions hit the per-digest cache,
-        so only the corrupted function recompiles (~5 ms), and the rest
-        of the trial keeps its fast path.  Functions whose corrupted
-        bytes no longer decode translate to nothing and fall back to
-        the interpreter naturally.
+        raises at exactly the interpreter's instruction boundary.
+
+        The table is lazy: a function not yet translated at its current
+        bytes is only a pending address range, and it compiles when
+        ``eip`` first lands anywhere inside it (an entry, or a return
+        into its body).  A text-segment fault (version bump) rebuilds
+        the table against the *current* bytes: unchanged functions hit
+        the per-digest cache, and the corrupted function is compiled
+        only if it is dispatched again.  A whole-function compile costs
+        3-5 ms for the hot kernels and 75-104 ms for climate's
+        ``cam_startup``, so a flip in code that has already retired or
+        never runs costs nothing.  The function that was running when
+        its own bytes changed resumes mid-unit, where a fresh
+        translation has no entry, so it is interpreted until control
+        enters it again at its first instruction.  Functions whose
+        corrupted bytes no longer decode translate to nothing and fall
+        back to the interpreter naturally.
         """
         text = self.image.text
         if self._fast_table is None or self._fast_version != text.version:
@@ -211,7 +227,7 @@ class VM:
         wc = regs.write_count
         space, fpu, clock = self.space, self.fpu, self.clock
         version = self._fast_version
-        units = fast = slow = horizon = retrans = 0
+        units = fast = slow = horizon = retrans = lazy = 0
         # One errstate scope for the whole run: translated units elide
         # the interpreter's per-op ``errstate(all="ignore")`` blocks.
         try:
@@ -228,6 +244,11 @@ class VM:
                         if regs.eip == RET_SENTINEL:
                             self._running = False
                             break
+                        if self._fast_pending and self._translate_pending(
+                            regs.eip
+                        ):
+                            lazy += 1
+                            continue
                         slow += 1
                         self.step()
                         continue
@@ -256,14 +277,36 @@ class VM:
             stats["interpreted_insns"] += slow
             stats["horizon_insns"] += horizon
             stats["retranslations"] += retrans
+            stats["lazy_translations"] += lazy
 
     def _build_fast_table(self) -> None:
         # Imported lazily: translate pulls in staticanalysis.cfg, which
         # imports this module.
         from repro.cpu import translate
 
-        self._fast_table = translate.build_vm_table(self.image)
+        self._fast_table, self._fast_pending = translate.build_vm_table(
+            self.image
+        )
         self._fast_version = self.image.text.version
+        self._fast_midflight = self.regs.eip
+
+    def _translate_pending(self, eip: int) -> bool:
+        """Translate the pending function containing ``eip`` into the
+        table; False when ``eip`` lies in none, or in the function that
+        was running when the table was built and not at its start."""
+        from repro.cpu import translate
+
+        pending = self._fast_pending
+        i = bisect.bisect_right(pending, eip, key=itemgetter(0)) - 1
+        if i < 0:
+            return False
+        start, end, name = pending[i]
+        if eip >= end or (start <= self._fast_midflight < end and eip != start):
+            return False
+        del pending[i]
+        code = self.image.text.read_bytes(start, end - start)
+        self._fast_table.update(translate.translation_for(name, code, start))
+        return True
 
     # ------------------------------------------------------------------
     # fetch/decode

@@ -1,12 +1,15 @@
 """The block translator (PR 8 tentpole): planning, generated-unit
-semantics, and the dual-mode dispatch loop's exactness guarantees."""
+semantics, the lazy dispatch table, and the dual-mode dispatch loop's
+exactness guarantees."""
+
+from collections import OrderedDict
 
 import pytest
 
 from repro.cpu import ops, translate
 from repro.cpu.assembler import assemble_function
-from repro.cpu.isa import INSN_SIZE, Op
-from repro.errors import SimFPE, SimSegfault
+from repro.cpu.isa import INSN_SIZE, Op, UndefinedOpcode, decode
+from repro.errors import SimFPE, SimIllegalInstruction, SimSegfault
 from repro.staticanalysis.cfg import ControlFlowGraph
 from tests.conftest import build_image
 
@@ -58,30 +61,35 @@ class TestPlanning:
 # ----------------------------------------------------------------------
 # generated-unit semantics: fast run == interpreted run, bit for bit
 # ----------------------------------------------------------------------
+def observe(vm, exc):
+    """Everything the two engines must agree on after a run."""
+    return (
+        type(exc),
+        exc.args if exc else None,
+        vm.regs.capture_state(),
+        vm.fpu.capture_state(),
+        vm.clock.blocks,
+        vm.instructions_retired,
+        tuple((s.name, s.buf.tobytes()) for s in vm.space.segments()),
+    )
+
+
+def call_observed(vm, entry, args=()):
+    exc = None
+    try:
+        vm.call(entry, args)
+    except Exception as e:  # noqa: BLE001 - compared type+args below
+        exc = e
+    return observe(vm, exc)
+
+
 def run_both(sources, entry, args=(), data=None, bss=None):
     """Run the same kernel in both modes; return (exc, state) pairs."""
     out = []
     for fastpath in (False, True):
         image, vm = build_image(dict(sources), data=data, bss=bss)
         vm.fastpath = fastpath
-        exc = None
-        try:
-            vm.call(entry, args)
-        except Exception as e:  # noqa: BLE001 - compared type+args below
-            exc = e
-        out.append(
-            (
-                type(exc),
-                exc.args if exc else None,
-                vm.regs.capture_state(),
-                vm.fpu.capture_state(),
-                vm.clock.blocks,
-                vm.instructions_retired,
-                tuple(
-                    (s.name, s.buf.tobytes()) for s in vm.space.segments()
-                ),
-            )
-        )
+        out.append(call_observed(vm, entry, args))
     return out
 
 
@@ -241,6 +249,172 @@ class TestDispatch:
     def test_undecodable_function_translates_to_empty(self):
         assert translate.translation_for("bad", b"\xff" * 8, 0) == {}
         assert translate.translation_for("odd", b"\x00" * 9, 0) == {}
+
+
+# ----------------------------------------------------------------------
+# the lazy dispatch table: a function compiles on its first dispatch
+# ----------------------------------------------------------------------
+@pytest.fixture
+def compiles(monkeypatch):
+    """An empty translation cache for this test; returns the names of
+    the functions compiled while it runs."""
+    names = []
+    real = translate._translate
+
+    def counting(name, code, base):
+        names.append(name)
+        return real(name, code, base)
+
+    monkeypatch.setattr(translate, "_TRANSLATIONS", OrderedDict())
+    monkeypatch.setattr(translate, "_translate", counting)
+    return names
+
+
+#: 45 instructions, one block each: ``main`` calls ``hot`` in blocks
+#: 3-7 of each of four 8-block iterations (ending at blocks 10, 18, 26
+#: and 34), then ``late`` in blocks 35-39 and 40-44; ``cold`` never runs.
+LAZY = {
+    "main": """
+    movi eax, 0
+    movi ecx, 0
+loop:
+    call @hot
+    addi ecx, 1
+    cmpi ecx, 4
+    jl loop
+    call @late
+    call @late
+    ret
+""",
+    "hot": "addi eax, 1\naddi eax, 2\naddi eax, 3\nret",
+    "late": "addi eax, 5\naddi eax, 6\naddi eax, 7\nret",
+    "cold": "addi eax, 9\naddi eax, 9\nret",
+}
+
+
+def imm_flip(symbol, insn, bit=0):
+    """A flip of bit ``bit`` of instruction ``insn``'s immediate."""
+    return symbol, INSN_SIZE * insn + 4, bit
+
+
+def run_flipped(compiles, flips, sources=LAZY, entry="main"):
+    """Run ``entry`` under the interpreter and the fast path, each with
+    ``(at_blocks, (symbol, byte offset, bit))`` flips applied from
+    hooks; returns both observations and the fast VM's stats.
+
+    A clean fast run first compiles every function the unflipped
+    program dispatches, so ``compiles`` and the stats count only what
+    the flips cause."""
+    _, warm = build_image(dict(sources))
+    warm.fastpath = True
+    warm.call(entry)
+    compiles.clear()
+    out = []
+    for fastpath in (False, True):
+        image, vm = build_image(dict(sources))
+        vm.fastpath = fastpath
+        for at, (symbol, offset, bit) in flips:
+            addr = image.addr_of(symbol) + offset
+            vm.schedule_hook(
+                at, lambda v, a=addr, b=bit: v.image.text.flip_bit(a, b)
+            )
+        out.append(call_observed(vm, entry))
+    return out[0], out[1], vm.fastpath_stats
+
+
+class TestLazyTable:
+    def test_flip_in_never_called_function_compiles_nothing(self, compiles):
+        interp, fast, stats = run_flipped(
+            compiles, [(10, imm_flip("cold", 0))]
+        )
+        assert interp == fast
+        assert stats["retranslations"] == 1
+        assert stats["lazy_translations"] == 0
+        assert compiles == []
+
+    def test_flip_in_later_called_function_compiles_once(self, compiles):
+        # ``late`` is called twice after the flip: one compile serves both
+        interp, fast, stats = run_flipped(
+            compiles, [(10, imm_flip("late", 1, bit=1))]
+        )
+        assert interp == fast
+        assert stats["lazy_translations"] == 1
+        assert compiles == ["late"]
+
+    def test_return_into_pending_function_mid_body(self, compiles):
+        # The flip fires inside ``hot`` (block 5) and corrupts ``main``'s
+        # loop bound (cmpi ecx, 4 -> 5).  ``hot`` then returns into
+        # ``main`` after the call, not at its entry: only the range
+        # lookup can find that ``main`` is pending.
+        interp, fast, stats = run_flipped(
+            compiles, [(5, imm_flip("main", 4))]
+        )
+        assert interp == fast
+        assert stats["lazy_translations"] == 1
+        assert compiles == ["main"]
+
+    def test_running_function_compiles_on_next_entry(self, compiles):
+        # The flip fires inside ``hot`` and corrupts its own next
+        # instruction: the rest of this call is interpreted, and the
+        # next call enters at the start and compiles it once.
+        interp, fast, stats = run_flipped(
+            compiles, [(5, imm_flip("hot", 2))]
+        )
+        assert interp == fast
+        assert stats["lazy_translations"] == 1
+        assert compiles == ["hot"]
+
+    def test_retired_running_function_compiles_nothing(self, compiles):
+        # As above, but in late's last call: the corrupted function is
+        # never entered again (a flip in a run-once startup routine).
+        interp, fast, stats = run_flipped(
+            compiles, [(42, imm_flip("late", 2))]
+        )
+        assert interp == fast
+        assert stats["retranslations"] == 1
+        assert stats["lazy_translations"] == 0
+        assert compiles == []
+
+    def test_undecodable_function_falls_back_to_interpreter(self, compiles):
+        # addi (0x2a) -> 0xaa, an undefined opcode, in late's 2nd word
+        with pytest.raises(UndefinedOpcode):
+            decode(bytes([int(Op.ADDI) ^ 0x80]) + bytes(INSN_SIZE - 1))
+        interp, fast, stats = run_flipped(
+            compiles, [(10, ("late", INSN_SIZE, 7))]
+        )
+        assert interp[0] is SimIllegalInstruction
+        assert interp == fast
+        assert compiles == ["late"]
+        assert stats["lazy_translations"] == 1
+        assert stats["interpreted_insns"] >= 1  # late's first addi
+
+    def test_two_flips_in_one_function(self, compiles):
+        # The second flip fires inside late's first call (block 37) and
+        # corrupts its very next instruction.
+        interp, fast, stats = run_flipped(
+            compiles,
+            [(10, imm_flip("late", 0)), (37, imm_flip("late", 2, bit=2))],
+        )
+        assert interp == fast
+        assert stats["retranslations"] == 2
+        assert stats["lazy_translations"] == 2
+        assert compiles == ["late", "late"]
+
+
+class TestTranslationCache:
+    def test_size_never_exceeds_bound(self, compiles):
+        bound = translate.TRANSLATION_CACHE_SIZE
+        code = assemble_function("f", "movi eax, 3\nret").code
+        clean = translate.translation_for("f", code, 0x1000)
+        for i in range(bound + 16):
+            translate.translation_for("f", code, 0x2000 + 0x100 * i)
+            assert len(translate._TRANSLATIONS) <= bound
+            # a translation looked up between compiles stays cached
+            assert translate.translation_for("f", code, 0x1000) is clean
+        assert len(compiles) == bound + 17
+        # the least recently used ones were dropped and compile again
+        translate.translation_for("f", code, 0x2000)
+        assert len(compiles) == bound + 18
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,13 @@ Two properties pin the dual-mode engine (PR 8):
 * **Random kernels end-to-end.**  Small randomized ALU/branch/memory
   programs produce identical final VM state whether ``vm.fastpath`` is
   set or not.
+
+* **TEXT flips in whole jobs.**  A random bit flipped in a shipped
+  application kernel at a random hook time gives a bit-identical job
+  result and final VM state with ``vm.fastpath`` on and off, however
+  the lazy dispatch table then meets the corrupted function (never,
+  mid-flight, on a later call, or not at all because it no longer
+  decodes).
 """
 
 import numpy as np
@@ -20,8 +27,8 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.apps import APPLICATION_SUITE
-from repro.cpu.translate import build_vm_table
-from repro.mpi.simulator import JobConfig
+from repro.cpu import translate
+from repro.mpi.simulator import Job, JobConfig
 from tests.conftest import build_image
 
 _BIG_BUDGET = 1 << 62
@@ -41,7 +48,15 @@ class _Harness:
     def __init__(self, app_name):
         self.image_i, self.vm_i = _build(app_name)
         self.image_f, self.vm_f = _build(app_name)
-        self.table = build_vm_table(self.image_f)
+        # The VM's table is lazy; translate every symbol up front so
+        # the sweep covers each unit of each shipped kernel.
+        self.table = {}
+        text = self.image_f.text
+        for sym in self.image_f.symtab.symbols("text"):
+            code = text.read_bytes(sym.addr, sym.size)
+            self.table.update(
+                translate.translation_for(sym.name, code, sym.addr)
+            )
         self.baseline = [
             (seg.name, seg.buf.tobytes())
             for seg in self.vm_i.space.segments()
@@ -218,3 +233,84 @@ def test_random_kernels_end_to_end(source):
             )
         )
     assert out[0] == out[1]
+
+
+# ----------------------------------------------------------------------
+# TEXT flips through whole jobs
+# ----------------------------------------------------------------------
+_GOLDEN: dict[str, tuple[list[int], int]] = {}
+
+
+def _golden(app_name):
+    """Fault-free per-rank blocks and scheduler rounds of an app."""
+    if app_name not in _GOLDEN:
+        job = Job(APPLICATION_SUITE[app_name](), JobConfig(nprocs=2))
+        result = job.run()
+        assert result.completed
+        _GOLDEN[app_name] = (result.blocks_per_rank, result.rounds)
+    return _GOLDEN[app_name]
+
+
+def _run_flipped_job(app_name, fastpath, rank, at, symbol, offset, bit):
+    blocks, rounds = _golden(app_name)
+    config = JobConfig(
+        nprocs=2,
+        fastpath=fastpath,
+        block_limit=3 * max(blocks),
+        round_limit=3 * rounds,
+    )
+    job = Job(APPLICATION_SUITE[app_name](), config)
+    vm = job.vms[rank]
+    addr = vm.image.addr_of(symbol) + offset
+    vm.schedule_hook(at, lambda v: v.image.text.flip_bit(addr, bit))
+    result = job.run()
+    return (
+        result.status,
+        result.detail,
+        result.stdout,
+        # A Python traceback (an unhandled error) names the engine's own
+        # call path, which is not part of the result.
+        [line for line in result.stderr if not line.startswith("Traceback")],
+        result.outputs,
+        result.rounds,
+        result.blocks_per_rank,
+        type(result.error),
+        result.error.args if result.error else None,
+        result.faulting_rank,
+        [
+            (
+                vm.regs.capture_state(),
+                vm.fpu.capture_state(),
+                vm.clock.blocks,
+                vm.instructions_retired,
+                tuple((s.name, s.buf.tobytes()) for s in vm.space.segments()),
+            )
+            for vm in job.vms
+        ],
+    )
+
+
+@st.composite
+def text_flips(draw):
+    app_name = draw(st.sampled_from(sorted(APPLICATION_SUITE)))
+    image = _HARNESSES[app_name].image_f
+    # Sampling a kernel first (not a byte) reaches the small hot
+    # kernels as often as the large startup and cold routines.
+    sym = draw(
+        st.sampled_from(
+            [s for s in image.symtab.symbols("text", "user") if s.size]
+        )
+    )
+    rank = draw(st.integers(0, 1))
+    at = draw(st.integers(1, _golden(app_name)[0][rank]))
+    offset = draw(st.integers(0, sym.size - 1))
+    bit = draw(st.integers(0, 7))
+    return app_name, rank, at, sym.name, offset, bit
+
+
+@given(flip=text_flips())
+@settings(max_examples=40, deadline=None)
+def test_text_flip_fastpath_bit_identical(flip):
+    app_name, *where = flip
+    interp = _run_flipped_job(app_name, False, *where)
+    assert interp == _run_flipped_job(app_name, True, *where)
