@@ -55,8 +55,9 @@ from repro.harness.report import Report
 #: Version of every ``analyze ... --json`` payload.  All four emitters
 #: (``--lint``/plain, ``--mpi``, ``--propagation``, ``--outcomes``)
 #: stamp this shared number so downstream consumers can gate on one
-#: field; bump it when any payload shape changes.
-ANALYZE_SCHEMA_VERSION = 1
+#: field; bump it when any payload shape changes (2: ``--translate``
+#: kernels list their ``bulk_loops``).
+ANALYZE_SCHEMA_VERSION = 2
 
 
 def _diag_payload(diags):
@@ -804,6 +805,12 @@ def cmd_analyze_translate(args) -> int:
                 print(
                     f"  insn {skip['index']}: interpreted "
                     f"({skip['reason']})"
+                )
+            for loop in rep["bulk_loops"]:
+                print(
+                    f"  loop at insn {loop['head']}: bulk entry, "
+                    f"{loop['body_insns']} insns per iteration, "
+                    f"{loop['streams']} stream(s)"
                 )
     return 0
 

@@ -36,6 +36,27 @@ loop then interprets instruction by instruction, so hooks fire and
 ``HangDetected`` raises at exactly the same instruction boundary as a
 pure interpreter run.
 
+On top of the units, each *counted vector loop* of a function -- a
+head block ending in the exit test plus a straight-line body whose
+vector instructions stream through addresses advancing by a fixed
+stride -- compiles into a *bulk entry* at the loop head
+(:mod:`repro.cpu.loops`).  The loop plan is made once per function
+digest: a symbolic pass over one iteration classifies every register
+as invariant, induction or iteration-local temporary, turns vector
+operands into strided streams (privatizing a fixed temporary row that
+each iteration writes before reading) and derives the trip count from
+the exit compare.  At run time the entry's guard checks, from the live
+registers and memory, that at least two iterations remain, that every
+access of the remaining iterations is mapped, permitted and aligned,
+that no iteration depends on another, that the FPU pushes land on
+empty slots, and that the whole remaining loop fits the unit budget.
+If so it applies all but the last iteration as one strided 2-D NumPy
+operation per vector instruction and their counters in closed form;
+the *peeled* last iteration then runs through the ordinary units and
+leaves the final temporaries, flags, FPU and stack words exactly as
+the interpreter does.  When any check fails the entry changes nothing
+and the head unit runs as usual.
+
 Translations are cached per ``(code digest, base address)`` in a
 bounded least-recently-used cache, so every rank, trial and campaign
 wave sharing a program shares one compile.  A process image's dispatch
@@ -53,7 +74,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cpu import ops, semantics
+from repro.cpu import loops, ops, semantics
 from repro.cpu.decoder import code_digest, decode_stream, try_decode_stream
 from repro.cpu.isa import INSN_SIZE, Insn, Op, RedOp, UndefinedOpcode
 from repro.errors import SimFPE, SimSegfault
@@ -135,6 +156,8 @@ class FunctionPlan:
     skipped: tuple[tuple[int, str], ...]
     cost_splits: int
     call_splits: int
+    #: Counted vector loops, each compiled into a bulk entry at its head.
+    loops: tuple[loops.LoopPlan, ...] = ()
     #: Function-level reason nothing was translated (None = translated).
     reason: str | None = None
 
@@ -144,7 +167,8 @@ class FunctionPlan:
 
 
 def plan_function(name: str, insns, cfg) -> FunctionPlan:
-    """Split a function's basic blocks into translation units."""
+    """Split a function's basic blocks into translation units, and plan
+    its counted vector loops."""
     units: list[UnitPlan] = []
     skipped: list[tuple[int, str]] = []
     cost_splits = call_splits = 0
@@ -183,6 +207,7 @@ def plan_function(name: str, insns, cfg) -> FunctionPlan:
                 "terminator" if semantics.is_terminator(last) else "fallthrough"
             )
             units.append(UnitPlan(start, block.end, kind))
+    loop_plans, _refused = loops.plan_loops(insns, cfg)
     return FunctionPlan(
         name=name,
         n_insns=len(insns),
@@ -191,6 +216,7 @@ def plan_function(name: str, insns, cfg) -> FunctionPlan:
         skipped=tuple(skipped),
         cost_splits=cost_splits,
         call_splits=call_splits,
+        loops=tuple(loop_plans),
     )
 
 
@@ -698,22 +724,34 @@ def _emit_insn(em, i: Insn, j: int, addr: int, flags_live: bool, barrier):
 #: while a corrupted variant is used by the one trial that made it.
 TRANSLATION_CACHE_SIZE = 128
 
-#: (code digest, base address) -> {entry addr: (unit fn, n insns)},
-#: in least-to-most recently used order.
-_TRANSLATIONS: OrderedDict[tuple[bytes, int], dict] = OrderedDict()
+class Translation(dict):
+    """One function's units, ``{entry addr: (unit fn, n insns)}``, and
+    its bulk loop entries, ``loops = {head addr: VectorLoop}``."""
+
+    __slots__ = ("loops",)
+
+    def __init__(self, units=(), loops=None) -> None:
+        super().__init__(units)
+        self.loops = loops or {}
 
 
-def _cached(key: tuple[bytes, int]) -> dict | None:
+#: (code digest, base address) -> Translation, in least-to-most recently
+#: used order.
+_TRANSLATIONS: OrderedDict[tuple[bytes, int], Translation] = OrderedDict()
+
+
+def _cached(key: tuple[bytes, int]) -> Translation | None:
     cached = _TRANSLATIONS.get(key)
     if cached is not None:
         _TRANSLATIONS.move_to_end(key)
     return cached
 
 
-def translation_for(name: str, code: bytes, base: int) -> dict:
+def translation_for(name: str, code: bytes, base: int) -> Translation:
     """Translate one linked text object (already relocated) laid out at
-    ``base``.  Returns ``{}`` for objects that cannot be translated as
-    a whole (undecodable or misaligned); cached per content digest."""
+    ``base``.  Returns an empty translation for objects that cannot be
+    translated as a whole (undecodable or misaligned); cached per
+    content digest."""
     key = (code_digest(code), base)
     cached = _cached(key)
     if cached is None:
@@ -723,21 +761,22 @@ def translation_for(name: str, code: bytes, base: int) -> dict:
     return cached
 
 
-def _translate(name: str, code: bytes, base: int) -> dict:
+def _translate(name: str, code: bytes, base: int) -> Translation:
     from repro.staticanalysis.cfg import ControlFlowGraph
 
     if len(code) % INSN_SIZE or not code:
-        return {}
+        return Translation()
     insns = try_decode_stream(bytes(code))
     if insns is None:
-        return {}
+        return Translation()
     cfg = ControlFlowGraph.from_code(name, bytes(code))
     plan = plan_function(name, insns, cfg)
     return compile_plan(name, insns, plan, base)
 
 
-def compile_plan(name: str, insns, plan: FunctionPlan, base: int) -> dict:
-    """Compile every unit of a plan into its specialized function."""
+def compile_plan(name: str, insns, plan: FunctionPlan, base: int) -> Translation:
+    """Compile every unit of a plan into its specialized function, and
+    every loop plan into its bulk entry."""
     lines: list[str] = []
     for ui, unit in enumerate(plan.units):
         lines += _gen_unit(f"u{ui}", insns, unit, base)
@@ -748,18 +787,22 @@ def compile_plan(name: str, insns, plan: FunctionPlan, base: int) -> dict:
         ),
         namespace,
     )
-    return {
-        base + INSN_SIZE * u.start: (namespace[f"u{ui}"], u.end - u.start)
-        for ui, u in enumerate(plan.units)
-    }
+    return Translation(
+        {
+            base + INSN_SIZE * u.start: (namespace[f"u{ui}"], u.end - u.start)
+            for ui, u in enumerate(plan.units)
+        },
+        {base + INSN_SIZE * lp.head: loops.VectorLoop(lp) for lp in plan.loops},
+    )
 
 
-def build_vm_table(image) -> tuple[dict, list[tuple[int, int, str]]]:
+def build_vm_table(image) -> tuple[dict, dict, list[tuple[int, int, str]]]:
     """The dispatch table of a process image's current text, built
-    lazily: ``(table, pending)``.
+    lazily: ``(table, loops, pending)``.
 
-    ``table`` maps entry addresses to units of every text symbol whose
-    current bytes are already translated.  Every other symbol is left
+    ``table`` maps entry addresses to units, and ``loops`` maps loop
+    heads to bulk entries, of every text symbol whose current bytes are
+    already translated.  Every other symbol is left
     untranslated in ``pending``, an address-sorted list of ``(start,
     end, name)`` ranges; the VM compiles one through
     :func:`translation_for` when execution first reaches it, so a
@@ -768,6 +811,7 @@ def build_vm_table(image) -> tuple[dict, list[tuple[int, int, str]]]:
     """
     text = image.text
     table: dict = {}
+    bulk: dict = {}
     pending: list[tuple[int, int, str]] = []
     for sym in image.symtab.symbols("text"):
         if sym.size == 0 or sym.size % INSN_SIZE:
@@ -778,7 +822,8 @@ def build_vm_table(image) -> tuple[dict, list[tuple[int, int, str]]]:
             pending.append((sym.addr, sym.addr + sym.size, sym.name))
         else:
             table.update(cached)
-    return table, pending
+            bulk.update(cached.loops)
+    return table, bulk, pending
 
 
 # ----------------------------------------------------------------------
@@ -801,6 +846,7 @@ def audit_function(fn) -> dict:
             "cost_splits": 0,
             "call_splits": 0,
             "untranslatable": [],
+            "bulk_loops": [],
             "reason": f"undecodable: {exc}",
         }
     cfg = ControlFlowGraph.from_function(fn)
@@ -817,6 +863,14 @@ def audit_function(fn) -> dict:
         "call_splits": plan.call_splits,
         "untranslatable": [
             {"index": idx, "reason": reason} for idx, reason in plan.skipped
+        ],
+        "bulk_loops": [
+            {
+                "head": lp.head,
+                "body_insns": lp.insns,
+                "streams": len(lp.streams),
+            }
+            for lp in plan.loops
         ],
         "reason": None,
     }

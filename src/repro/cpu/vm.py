@@ -87,8 +87,10 @@ class VM:
             "retranslations": 0,
             "lazy_translations": 0,
             "observer_runs": 0,
+            "bulk_iterations": 0,
         }
         self._fast_table: dict | None = None
+        self._fast_loops: dict = {}
         self._fast_pending: list[tuple[int, int, str]] = []
         #: ``eip`` when the table was built (see ``_run_fast``).
         self._fast_midflight = RET_SENTINEL
@@ -201,6 +203,17 @@ class VM:
         cross the hang budget, so hooks fire and :class:`HangDetected`
         raises at exactly the interpreter's instruction boundary.
 
+        At the head of a counted vector loop (:mod:`repro.cpu.loops`)
+        the loop's bulk entry runs first.  Its guard checks, from the
+        live registers and memory, that the rest of the loop can
+        neither fault nor be observed and that no iteration depends on
+        another; if so it applies all but the last remaining iteration
+        as strided 2-D NumPy operations and computes their counters in
+        closed form.  The head unit then runs the peeled last
+        iteration, which leaves the final temporaries, flags, FPU and
+        stack words exactly as the interpreter does.  When a check
+        fails nothing has changed, and the head unit runs as usual.
+
         The table is lazy: a function not yet translated at its current
         bytes is only a pending address range, and it compiles when
         ``eip`` first lands anywhere inside it (an entry, or a return
@@ -221,13 +234,14 @@ class VM:
         if self._fast_table is None or self._fast_version != text.version:
             self._build_fast_table()
         table = self._fast_table
+        loops = self._fast_loops
         regs = self.regs
         rr = regs.r
         rc = regs.read_count
         wc = regs.write_count
         space, fpu, clock = self.space, self.fpu, self.clock
         version = self._fast_version
-        units = fast = slow = horizon = retrans = lazy = 0
+        units = fast = slow = horizon = retrans = lazy = bulk = 0
         # One errstate scope for the whole run: translated units elide
         # the interpreter's per-op ``errstate(all="ignore")`` blocks.
         try:
@@ -237,6 +251,7 @@ class VM:
                         retrans += 1
                         self._build_fast_table()
                         table = self._fast_table
+                        loops = self._fast_loops
                         version = self._fast_version
                         continue
                     entry = table.get(regs.eip)
@@ -255,6 +270,7 @@ class VM:
                     nh = self._next_hook
                     bl = self.block_limit
                     if nh is None and bl is None:
+                        at = None
                         budget = _NO_HORIZON
                     else:
                         at = (
@@ -263,6 +279,16 @@ class VM:
                             else (bl if nh is None else min(nh - 1, bl))
                         )
                         budget = at - clock.blocks
+                    loop = loops.get(regs.eip)
+                    if loop is not None:
+                        k = loop.run(
+                            self, rr, rc, wc, space, fpu, clock, budget
+                        )
+                        if k:
+                            bulk += k
+                            fast += k * loop.insns
+                            if at is not None:
+                                budget = at - clock.blocks
                     fn, n = entry
                     if fn(self, regs, rr, rc, wc, space, fpu, clock, budget):
                         horizon += 1
@@ -278,15 +304,18 @@ class VM:
             stats["horizon_insns"] += horizon
             stats["retranslations"] += retrans
             stats["lazy_translations"] += lazy
+            stats["bulk_iterations"] += bulk
 
     def _build_fast_table(self) -> None:
         # Imported lazily: translate pulls in staticanalysis.cfg, which
         # imports this module.
         from repro.cpu import translate
 
-        self._fast_table, self._fast_pending = translate.build_vm_table(
-            self.image
-        )
+        (
+            self._fast_table,
+            self._fast_loops,
+            self._fast_pending,
+        ) = translate.build_vm_table(self.image)
         self._fast_version = self.image.text.version
         self._fast_midflight = self.regs.eip
 
@@ -305,7 +334,9 @@ class VM:
             return False
         del pending[i]
         code = self.image.text.read_bytes(start, end - start)
-        self._fast_table.update(translate.translation_for(name, code, start))
+        translation = translate.translation_for(name, code, start)
+        self._fast_table.update(translation)
+        self._fast_loops.update(translation.loops)
         return True
 
     # ------------------------------------------------------------------

@@ -255,6 +255,14 @@ def run_observed(
         _finalize_timeline(timeline, manifestation, result)
         if registry is not None:
             _harvest_job_metrics(registry, job, result, ctx)
+        job.close()
+        # Classification has rendered any traceback into stderr.  Its
+        # frames would tie the result, the error and the job into a
+        # cycle that only the cyclic collector frees.
+        error = result.error
+        while error is not None:
+            error.__traceback__ = None
+            error = error.__context__
     observation = TrialObservation(
         timeline=timeline,
         metrics=registry.snapshot() if registry is not None else None,

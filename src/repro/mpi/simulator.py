@@ -47,6 +47,7 @@ from repro.memory.stack import StackOverflow
 from repro.mpi.adi import AdiConfig, AdiEngine, ChannelProtocolError
 from repro.mpi.api import Comm
 from repro.mpi.channel import ChannelEndpoint
+from repro.mpi.errhandler import MPI_ERRORS_ARE_FATAL
 from repro.cpu.vm import VM
 from repro.observability import runtime as _obs
 
@@ -176,6 +177,25 @@ class Job:
         self._gens: list[Generator | None] = []
         self._waiting: list[Any] = []
         self._done: list[bool] = []
+
+    def close(self) -> None:
+        """Drop the references that tie a finished job into cycles, so
+        its process images are freed by reference counting as soon as
+        the caller lets go of the job: the rank contexts and generators
+        point back at the job, every ADI's router is a bound method of
+        it, a message injector's hook holds the job, and an
+        application's error handler closes over its rank context."""
+        self._gens = []
+        self._waiting = []
+        self.pre_run_hooks = []
+        for ctx in self.contexts:
+            ctx.job = None
+        for adi in self.adis:
+            adi.attach_router(None)
+        for comm in self.comms:
+            comm.set_errhandler(MPI_ERRORS_ARE_FATAL)
+        for endpoint in self.endpoints:
+            endpoint.inject_hook = None
 
     def _route(self, dst: int) -> ChannelEndpoint:
         # Out-of-range destinations can only be produced by corrupted

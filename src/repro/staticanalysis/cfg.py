@@ -204,20 +204,20 @@ class ControlFlowGraph:
                     changed = True
         return dom
 
-    def _annotate_loop_depths(self) -> None:
-        """Natural-loop nesting depth: a back edge t->h (h dominates t)
-        defines a loop of h plus every block that reaches t without
-        passing through h; a block's depth is the number of distinct
-        loop headers whose loop contains it."""
+    def natural_loops(self) -> list[tuple[int, int, frozenset[int]]]:
+        """``(header, tail, body)`` of every natural loop, one per back
+        edge ``tail -> header`` (``header`` dominates ``tail``) from a
+        reachable block: the body is the header plus every block that
+        reaches ``tail`` without passing through the header."""
         dom = self.dominators()
         reachable = self.reachable()
-        loops: dict[int, set[int]] = {}  # header -> body
+        loops = []
         for block in self.blocks:
             if block.index not in reachable:
                 continue
             for succ in block.succs:
                 if succ in dom[block.index]:  # back edge block -> succ
-                    body = loops.setdefault(succ, {succ})
+                    body = {succ}
                     work = [block.index]
                     while work:
                         b = work.pop()
@@ -225,6 +225,16 @@ class ControlFlowGraph:
                             continue
                         body.add(b)
                         work.extend(self.blocks[b].preds)
+                    loops.append((succ, block.index, frozenset(body)))
+        return loops
+
+    def _annotate_loop_depths(self) -> None:
+        """Natural-loop nesting depth: a block's depth is the number of
+        distinct loop headers whose loop (the union over the header's
+        back edges) contains it."""
+        loops: dict[int, set[int]] = {}  # header -> body
+        for header, _tail, body in self.natural_loops():
+            loops.setdefault(header, set()).update(body)
         for block in self.blocks:
             block.loop_depth = sum(
                 1 for body in loops.values() if block.index in body

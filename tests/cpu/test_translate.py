@@ -6,10 +6,16 @@ from collections import OrderedDict
 
 import pytest
 
-from repro.cpu import ops, translate
+from repro.cpu import loops, ops, translate
 from repro.cpu.assembler import assemble_function
 from repro.cpu.isa import INSN_SIZE, Op, UndefinedOpcode, decode
-from repro.errors import SimFPE, SimIllegalInstruction, SimSegfault
+from repro.errors import (
+    HangDetected,
+    SimBusError,
+    SimFPE,
+    SimIllegalInstruction,
+    SimSegfault,
+)
 from repro.staticanalysis.cfg import ControlFlowGraph
 from tests.conftest import build_image
 
@@ -433,6 +439,20 @@ class TestAudit:
             )
             assert len(rep["untranslatable"]) == rep["interpreted_insns"]
 
+    def test_audit_lists_bulk_loops(self):
+        from repro.staticanalysis.lint import iter_shipped_kernels
+
+        reports = {
+            fn.name: translate.audit_function(fn)
+            for _owner, fn in iter_shipped_kernels()
+        }
+        (loop,) = reports["wt_step"]["bulk_loops"]
+        assert loop["head"] == 5
+        assert loop["streams"] == 8
+        assert loop["body_insns"] > loop["head"]
+        assert len(reports["cam_physics"]["bulk_loops"]) == 1
+        assert len(reports["cam_dynamics"]["bulk_loops"]) == 1
+
     def test_audit_reports_undecodable(self):
         class FakeFn:
             name = "junk"
@@ -442,6 +462,350 @@ class TestAudit:
         rep = translate.audit_function(FakeFn())
         assert rep["reason"] is not None
         assert rep["translated_insns"] == 0
+
+
+# ----------------------------------------------------------------------
+# counted vector loops: planning, the run-time guard, the bulk entry
+# ----------------------------------------------------------------------
+def loop_plans_of(fn):
+    """``(plans, refused)`` of an assembled function's natural loops."""
+    insns = list(translate.decode_stream(bytes(fn.code)))
+    return loops.plan_loops(insns, ControlFlowGraph.from_function(fn))
+
+
+def loop_plans(source: str):
+    return loop_plans_of(assemble_function("f", source))
+
+
+def row_kernel(body: str, resident: bool = True) -> str:
+    """A row loop over ``(src, dst, rows, scratch)``: ``esi``/``edi``
+    point at row ``eax`` of src/dst (8 doubles per row), ``ebx`` at the
+    scratch row, ``ecx`` holds 8, and (if ``resident``) a coefficient
+    stays in ST0."""
+    load, release = ("movi edx, $coef\nfld [edx]", "fpop") if resident else ("", "")
+    return f"""
+    push ebp
+    mov ebp, esp
+    {load}
+    movi eax, 0
+loop:
+    load edx, [ebp+16]
+    cmp eax, edx
+    jge done
+    mov esi, eax
+    movi ecx, 64
+    imul esi, ecx
+    load edx, [ebp+8]
+    add esi, edx
+    mov edi, eax
+    imul edi, ecx
+    load edx, [ebp+12]
+    add edi, edx
+    load ebx, [ebp+20]
+    movi ecx, 8
+{body}
+    addi eax, 1
+    jmp loop
+done:
+    {release}
+    mov esp, ebp
+    pop ebp
+    ret
+"""
+
+
+#: scratch = 3 * src (privatized), then dst += coef * scratch, with a
+#: stack spill of ecx in between (an iteration-local slot).
+ROWS = row_kernel("""
+    push ecx
+    fldimm 3
+    vbins.mul ebx, esi, ecx
+    fpop
+    pop ecx
+    vaxpy edi, edi, ebx, ecx
+""")
+
+BULK_ROWS = 12
+
+
+def observe_all(vm, exc):
+    """``observe`` plus every segment's store version."""
+    return observe(vm, exc) + (
+        tuple(s.version for s in vm.space.segments()),
+    )
+
+
+def row_image(source=ROWS):
+    return build_image(
+        {"rows": source},
+        data={"pad": 256, "coef": 8},
+        bss={"a": 64 * BULK_ROWS, "b": 64 * BULK_ROWS, "scratch": 64},
+    )
+
+
+def run_rows(
+    fastpath,
+    source=ROWS,
+    rows=BULK_ROWS,
+    src=None,
+    dst=None,
+    scratch=None,
+    hook_at=None,
+    block_limit=None,
+    twd=None,
+):
+    """Run ``source`` over ``rows`` rows of ``src`` (default the bss
+    array ``a``) into ``dst`` (default ``b``); pointer arguments may be
+    callables of the image.  Returns the observation, the machine state
+    each hook saw, and the fast path's stats."""
+    image, vm = row_image(source)
+    image.data.view_f64(image.addr_of("coef"), 1)[:] = 0.25
+    a, b = image.addr_of("a"), image.addr_of("b")
+    image.bss.view_f64(a, 8 * BULK_ROWS)[:] = [
+        (i * 0.37) % 5 - 2 for i in range(8 * BULK_ROWS)
+    ]
+    image.bss.view_f64(b, 8 * BULK_ROWS)[:] = 1.5
+    vm.fastpath = fastpath
+    vm.block_limit = block_limit
+    if twd is not None:
+        vm.fpu.twd = twd
+    seen = []
+    if hook_at is not None:
+        vm.schedule_hook(
+            hook_at,
+            lambda v: seen.append(
+                (v.clock.blocks, v.instructions_retired, v.regs.eip,
+                 tuple(v.regs.r))
+            ),
+        )
+    exc = None
+    args = [
+        default if arg is None else arg(image) if callable(arg) else arg
+        for arg, default in (
+            (src, a), (dst, b), (rows, rows), (scratch, image.addr_of("scratch"))
+        )
+    ]
+    try:
+        vm.call("rows", args)
+    except Exception as e:  # noqa: BLE001 - compared type+args below
+        exc = e
+    return observe_all(vm, exc), seen, vm.fastpath_stats
+
+
+class TestVectorLoops:
+    def test_shipped_loops_are_planned(self):
+        from repro.staticanalysis.lint import iter_shipped_kernels
+
+        kernels = {fn.name: fn for _owner, fn in iter_shipped_kernels()}
+        for name in ("wt_step", "cam_physics", "cam_dynamics"):
+            fn = kernels[name]
+            plans, refused = loop_plans_of(fn)
+            assert len(plans) == 1, (name, refused)
+            assert not refused
+        # wavetoy's scratch row is privatized; its time levels stream
+        plan = loop_plans_of(kernels["wt_step"])[0][0]
+        assert sum(st.private for st in plan.streams) == 1
+        assert [k for k, _ in plan.induction] == [0]  # eax, the row index
+
+    def test_test_kernel_is_planned(self):
+        plans, refused = loop_plans(ROWS)
+        assert len(plans) == 1 and not refused
+
+    @pytest.mark.parametrize(
+        "body, reason",
+        [
+            ("vred.sum esi, ecx\nfpop", "VRED"),
+            (
+                "cmpi ecx, 0\njz skip\nvmov edi, esi, ecx\nskip:",
+                "not a head block plus one straight-line body",
+            ),
+            (
+                # row i reads row i-1's output
+                "lea edx, [edi-64]\nvbin.add edi, edx, esi, ecx",
+                "loop-carried dependence between rows",
+            ),
+            (
+                # the trip bound is reloaded from the slot written here
+                "vmov edi, esi, ecx\nstore [ebp+16], eax",
+                "store into a slot the loop loads",
+            ),
+            (
+                # accumulating into a fixed vector carries a dependence
+                "vbin.add ebx, ebx, esi, ecx",
+                "loop-carried dependence through a fixed vector",
+            ),
+            (
+                # the head reads ebp, which the body overwrites
+                "vmov edi, esi, ecx\nmov ebp, edi",
+                "register read before it is written",
+            ),
+        ],
+        ids=["vred", "branch", "recurrence", "trip_slot", "accumulator",
+             "stale_temp"],
+    )
+    def test_refused_loops(self, body, reason):
+        plans, refused = loop_plans(row_kernel(body))
+        assert plans == []
+        assert len(refused) == 1
+        assert reason in refused[0][1]
+
+    def test_bulk_is_bit_identical(self):
+        interp, _, _ = run_rows(False)
+        fast, _, stats = run_rows(True)
+        assert interp[1] is None
+        assert interp == fast
+        assert stats["bulk_iterations"] == BULK_ROWS - 1
+
+    @pytest.mark.parametrize("rows", [0, 1, 2, 3])
+    def test_short_trip_counts(self, rows):
+        interp, _, _ = run_rows(False, rows=rows)
+        fast, _, stats = run_rows(True, rows=rows)
+        assert interp == fast
+        assert stats["bulk_iterations"] == max(0, rows - 1)
+
+    def test_hook_mid_loop_fires_at_interpreter_instruction(self):
+        total = run_rows(False)[0][4]
+        bulk = {}
+        for at in (5, total // 2, total - 20):
+            interp, seen_i, _ = run_rows(False, hook_at=at)
+            fast, seen_f, stats = run_rows(True, hook_at=at)
+            assert seen_i and seen_i == seen_f
+            assert interp == fast
+            bulk[at] = stats["bulk_iterations"]
+        # the loop the hook lands in runs per row up to the hook, and
+        # the rows after it run in bulk
+        assert 0 < bulk[total // 2] < BULK_ROWS - 1
+
+    def test_block_limit_mid_loop_raises_at_same_instruction(self):
+        total = run_rows(False)[0][4]
+        interp, _, _ = run_rows(False, block_limit=total // 2)
+        fast, _, stats = run_rows(True, block_limit=total // 2)
+        assert interp[0] is HangDetected
+        assert interp == fast
+        assert stats["bulk_iterations"] == 0
+
+    def test_row_leaving_its_segment_faults_like_the_interpreter(self):
+        image, _ = row_image()
+        end = image.heap_segment.end
+        assert not image.address_space.is_mapped(end)
+        src = end - 3 * 64  # row 3 leaves the segment
+        interp, _, _ = run_rows(False, src=src)
+        fast, _, stats = run_rows(True, src=src)
+        assert interp[0] is SimSegfault
+        assert interp == fast
+        assert stats["bulk_iterations"] == 0
+
+    def test_unaligned_rows_fault_like_the_interpreter(self):
+        src = lambda im: im.addr_of("a") + 4  # noqa: E731
+        rows = BULK_ROWS - 1  # every row stays inside ``a``
+        interp, _, _ = run_rows(False, rows=rows, src=src)
+        fast, _, stats = run_rows(True, rows=rows, src=src)
+        assert interp[0] is SimBusError
+        assert interp == fast
+        assert stats["bulk_iterations"] == 0
+
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_descending_rows(self, in_place):
+        # rows run last to first (a negative stride): dst[i] = src[i] +
+        # src[i+1]; in place, row i reads row i+1 written just before
+        source = """
+    push ebp
+    mov ebp, esp
+    load eax, [ebp+16]
+    addi eax, -1
+loop:
+    cmpi eax, 0
+    jl done
+    mov esi, eax
+    movi ecx, 64
+    imul esi, ecx
+    mov edi, esi
+    load edx, [ebp+8]
+    add esi, edx
+    load edx, [ebp+12]
+    add edi, edx
+    movi ecx, 8
+    lea edx, [esi+64]
+    vbin.add edi, esi, edx, ecx
+    addi eax, -1
+    jmp loop
+done:
+    mov esp, ebp
+    pop ebp
+    ret
+"""
+        dst = (lambda im: im.addr_of("a")) if in_place else None
+        rows = BULK_ROWS - 1
+        interp, _, _ = run_rows(False, source, rows=rows, dst=dst)
+        fast, _, stats = run_rows(True, source, rows=rows, dst=dst)
+        assert interp[1] is None
+        assert interp == fast
+        assert stats["bulk_iterations"] == (0 if in_place else rows - 1)
+
+    @pytest.mark.parametrize("offset", [64, -64, 8, -8, 0])
+    def test_aliased_rows(self, offset):
+        # dst = src + offset: a whole row or one element apart, each row
+        # written is read by a neighbouring iteration; offset 0 is an
+        # in-place update, independent across rows
+        source = row_kernel("vbin.add edi, edi, esi, ecx")
+        dst = lambda im: im.addr_of("a") + 64 + offset  # noqa: E731
+        src = lambda im: im.addr_of("a") + 64  # noqa: E731
+        interp, _, _ = run_rows(False, source, src=src, dst=dst)
+        fast, _, stats = run_rows(True, source, src=src, dst=dst)
+        assert interp[1] is None
+        assert interp == fast
+        assert (stats["bulk_iterations"] > 0) == (offset == 0)
+
+    def test_fixed_input_inside_written_rows_declines(self):
+        # ebx (a fixed vector read every iteration) lies in dst's row 3
+        source = row_kernel("vbin.add edi, edi, ebx, ecx")
+        scratch = lambda im: im.addr_of("b") + 3 * 64 + 16  # noqa: E731
+        interp, _, _ = run_rows(False, source, scratch=scratch)
+        fast, _, stats = run_rows(True, source, scratch=scratch)
+        assert interp == fast
+        # declined until the rows left to run no longer meet it
+        assert stats["bulk_iterations"] < BULK_ROWS - 1
+
+    def test_scalar_load_inside_written_rows_declines(self):
+        # dst's row 2 overwrites the constant each iteration loads
+        source = row_kernel(
+            "movi edx, $coef\nfld [edx]\nvbins.mul edi, esi, ecx\nfpop"
+        )
+        dst = lambda im: im.addr_of("coef") - 2 * 64  # noqa: E731
+        interp, _, _ = run_rows(False, source, dst=dst)
+        fast, _, stats = run_rows(True, source, dst=dst)
+        assert interp == fast
+        assert stats["bulk_iterations"] < BULK_ROWS - 1
+        clean, _, stats = run_rows(True, source)
+        assert stats["bulk_iterations"] == BULK_ROWS - 1
+
+    def test_fpu_push_onto_occupied_slot_declines(self):
+        # eight pushes wrap onto the slot read as ST0 first, which a
+        # corrupted tag word marks valid although the stack is empty:
+        # the first iteration reads it, later ones find it emptied
+        source = row_kernel(
+            "vbins.mul edi, esi, ecx\n" + "fldimm 1\n" * 8 + "fpop\n" * 8,
+            resident=False,
+        )
+        interp, _, _ = run_rows(False, source, twd=0xFFFC)
+        fast, _, stats = run_rows(True, source, twd=0xFFFC)
+        assert interp == fast
+        # the first iteration empties the slot; the rest run in bulk
+        assert stats["bulk_iterations"] == BULK_ROWS - 2
+        _, _, stats = run_rows(True, source)
+        assert stats["bulk_iterations"] == BULK_ROWS - 1
+
+    def test_stats_account_every_instruction(self):
+        total = run_rows(False)[0][4]
+        obs, _, stats = run_rows(True, hook_at=total // 2)
+        assert stats["bulk_iterations"] > 0
+        assert stats["horizon_insns"] > 0
+        assert (
+            stats["translated_insns"]
+            + stats["interpreted_insns"]
+            + stats["horizon_insns"]
+            == obs[5]  # instructions_retired
+        )
 
 
 def test_exec_table_covers_every_opcode():

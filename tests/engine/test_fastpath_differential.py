@@ -70,3 +70,16 @@ def test_fastpath_is_observationally_invisible(app, jobs, tmp_path):
     assert interp[1] == fast[1], "status payloads differ"
     assert interp[2] == fast[2], "region tallies differ"
     assert interp[3] == fast[3], "metric series differ"
+
+
+def test_bulk_iterations_reach_the_metrics(tmp_path):
+    metrics = MetricsRegistry()
+    campaign = Campaign.from_registry("wavetoy", nprocs=2, seed=SEED)
+    campaign.run((Region.DATA,), 2, metrics=metrics, fastpath=True)
+    assert (
+        metrics.counter_value("repro_vm_fastpath_total", kind="bulk_iterations")
+        > 0
+    )
+    assert 'repro_vm_fastpath_total{kind="bulk_iterations"}' in (
+        render_prometheus(metrics)
+    )

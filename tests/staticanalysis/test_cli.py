@@ -132,6 +132,25 @@ class TestAnalyzeOutcomes:
         assert capsys.readouterr().err
 
 
+class TestAnalyzeTranslate:
+    def test_text_lists_bulk_loops(self, capsys):
+        assert main(["analyze", "--translate", "wt_step"]) == 0
+        out = capsys.readouterr().out
+        assert "loop at insn 5: bulk entry" in out
+        assert "8 stream(s)" in out
+
+    def test_json_lists_bulk_loops(self, capsys):
+        assert main(["analyze", "--translate", "--json", "climate"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["schema_version"] == ANALYZE_SCHEMA_VERSION
+        loops = {
+            k["name"]: k["bulk_loops"] for k in payload["kernels"]
+        }
+        assert len(loops["cam_physics"]) == 1
+        assert len(loops["cam_dynamics"]) == 1
+        assert loops["cam_diag"] == []
+
+
 class TestSchemaVersion:
     def test_every_json_emitter_stamps_the_shared_version(self, capsys):
         emitters = (
@@ -140,6 +159,7 @@ class TestSchemaVersion:
             ["analyze", "--mpi", "--json", "--nprocs", "2", "wavetoy"],
             ["analyze", "--propagation", "--json", "wavetoy"],
             ["analyze", "--outcomes", "--json", "--nprocs", "2", "wavetoy"],
+            ["analyze", "--translate", "--json", "wavetoy"],
         )
         for argv in emitters:
             assert main(argv) == 0, argv
