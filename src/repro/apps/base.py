@@ -5,7 +5,11 @@ injector assumes:
 
 * numeric kernels are assembled for the virtual CPU and linked, together
   with static data/BSS objects and the MPI library blobs, into a
-  Figure-1 process image;
+  Figure-1 process image.  The link happens once per application
+  configuration and process (:meth:`MPIApplication.template`); every
+  rank of every trial then starts from a copy of that image, with the
+  decode cache and text digests its VM needs already built, as the
+  paper's injector attaches to processes that are already loaded;
 * working arrays are ``malloc``'d from the simulated heap (tagged *user*);
 * the descriptors of upcoming MPI calls - buffer pointers, counts, ranks,
   tags - live in **stack-resident locals** (:class:`StackLocals`), read
@@ -23,9 +27,9 @@ from typing import Generator, Sequence
 
 from repro.cpu.assembler import Program
 from repro.cpu.isa import Insn, Op, encode
-from repro.cpu.vm import VM
+from repro.cpu.vm import VM, TextTemplate
 from repro.errors import MPIAbort
-from repro.memory.process import ProcessImage
+from repro.memory.process import ImageTemplate, ProcessImage
 from repro.memory.symbols import Linker
 from repro.mpi.library import add_mpi_library
 from repro.mpi.simulator import JobConfig, RankContext
@@ -119,6 +123,7 @@ class MPIApplication:
     DEFAULTS: dict = {}
 
     _program_cache: dict[tuple, Program] = {}
+    _template_cache: dict[tuple, tuple[ImageTemplate, TextTemplate]] = {}
 
     def __init__(self, **params):
         unknown = set(params) - set(self.DEFAULTS)
@@ -191,21 +196,51 @@ class MPIApplication:
             MPIApplication._program_cache[key] = prog
         return prog
 
+    def template(self) -> tuple[ImageTemplate, TextTemplate]:
+        """This configuration's linked and relocated image, built once
+        per process (a forked worker inherits one its parent built) and
+        never changed afterwards.
+
+        The key covers everything the link reads: the class, its
+        parameters, the heap and stack sizes and the MPI library scales.
+        Working-set tracking is not part of it; each copy takes it from
+        its job's config.
+        """
+        key = (
+            type(self),
+            tuple(sorted(self.params.items())),
+            self.heap_size,
+            self.stack_size,
+            self.mpi_text_scale,
+            self.mpi_data_scale,
+        )
+        templates = MPIApplication._template_cache
+        template = templates.get(key)
+        if template is None:
+            linker = Linker()
+            self.program().add_to_linker(linker)
+            self.add_static_objects(linker)
+            add_mpi_library(
+                linker,
+                text_scale=self.mpi_text_scale,
+                data_scale=self.mpi_data_scale,
+            )
+            image = ProcessImage.from_linker(
+                linker, heap_size=self.heap_size, stack_size=self.stack_size
+            )
+            self.program().relocate(image)
+            # A campaign uses one configuration; sweeps over many (the
+            # property tests) must not keep every image alive.
+            if len(templates) >= 32:
+                templates.clear()
+            template = templates[key] = (ImageTemplate(image), TextTemplate(image))
+        return template
+
     def build_process(
         self, rank: int, nprocs: int, config: JobConfig
     ) -> tuple[ProcessImage, VM]:
-        linker = Linker()
-        self.program().add_to_linker(linker)
-        self.add_static_objects(linker)
-        add_mpi_library(
-            linker, text_scale=self.mpi_text_scale, data_scale=self.mpi_data_scale
-        )
-        image = ProcessImage.from_linker(
-            linker,
-            rank=rank,
-            heap_size=self.heap_size,
-            stack_size=self.stack_size,
-            track=config.track_memory,
-        )
-        self.program().relocate(image)
-        return image, VM(image)
+        """One rank's process image and VM, copied from
+        :meth:`template`."""
+        image_template, text_template = self.template()
+        image = image_template.instantiate(rank, track=config.track_memory)
+        return image, VM(image, text_template)

@@ -796,7 +796,20 @@ def compile_plan(name: str, insns, plan: FunctionPlan, base: int) -> Translation
     )
 
 
-def build_vm_table(image) -> tuple[dict, dict, list[tuple[int, int, str]]]:
+def text_functions(image) -> tuple[tuple[int, int, str, bytes], ...]:
+    """``(start, end, name, digest)`` of every translatable text symbol
+    of a process image, at its current bytes."""
+    text = image.text
+    return tuple(
+        (sym.addr, sym.end, sym.name, code_digest(text.read_bytes(sym.addr, sym.size)))
+        for sym in image.symtab.symbols("text")
+        if sym.size and not sym.size % INSN_SIZE
+    )
+
+
+def build_vm_table(
+    image, functions: tuple[tuple[int, int, str, bytes], ...] | None = None
+) -> tuple[dict, dict, list[tuple[int, int, str]]]:
     """The dispatch table of a process image's current text, built
     lazily: ``(table, loops, pending)``.
 
@@ -808,18 +821,20 @@ def build_vm_table(image) -> tuple[dict, dict, list[tuple[int, int, str]]]:
     :func:`translation_for` when execution first reaches it, so a
     function that never runs at these bytes (cold code, or a
     corrupted function that has already retired) is never compiled.
+
+    ``functions`` is :func:`text_functions` of the image when the caller
+    already knows it (a VM on an unchanged copy of a template's text);
+    otherwise the text is hashed here.
     """
-    text = image.text
+    if functions is None:
+        functions = text_functions(image)
     table: dict = {}
     bulk: dict = {}
     pending: list[tuple[int, int, str]] = []
-    for sym in image.symtab.symbols("text"):
-        if sym.size == 0 or sym.size % INSN_SIZE:
-            continue
-        code = text.read_bytes(sym.addr, sym.size)
-        cached = _cached((code_digest(code), sym.addr))
+    for start, end, name, digest in functions:
+        cached = _cached((digest, start))
         if cached is None:
-            pending.append((sym.addr, sym.addr + sym.size, sym.name))
+            pending.append((start, end, name))
         else:
             table.update(cached)
             bulk.update(cached.loops)

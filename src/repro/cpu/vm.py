@@ -15,6 +15,10 @@ Every design choice serves the fault-injection experiment:
   segment's version counter, so a bit flip in text invalidates the cache
   and the corrupted word is re-decoded - possibly into a different valid
   instruction, possibly into SIGILL.
+* A VM started on a copy of a linked image takes that image's
+  :class:`TextTemplate`, built once: it copies the pristine text's
+  decode cache and builds its own dispatch table from the stored
+  function digests, so starting a rank hashes and decodes nothing.
 * A block budget models the paper's hang criterion ("one minute beyond
   the expected execution completion time").
 """
@@ -30,7 +34,7 @@ import numpy as np
 from repro.errors import HangDetected, SimIllegalInstruction
 from repro.observability import runtime as _obs
 from repro.cpu import ops as _ops
-from repro.cpu.decoder import code_digest, try_decode_stream
+from repro.cpu.decoder import try_decode_stream
 from repro.cpu.fpu import FPU
 from repro.cpu.isa import INSN_SIZE, Insn, UndefinedOpcode, decode
 from repro.cpu.registers import EAX, EBP, ESP, RegisterFile
@@ -49,15 +53,50 @@ _NO_HORIZON = 1 << 62
 
 _signed = _ops.signed
 
-#: Primed per-address decode caches, shared across VMs of identical
-#: text images: (text digest, version) -> {addr: (version, insn)}.
-_PRIMED_TEXT: dict[tuple[bytes, int], dict] = {}
+
+class TextTemplate:
+    """The CPU's read-only view of one linked text as it starts: its
+    decode cache, and the digest of every text function
+    (:func:`translate.text_functions`).
+
+    The decode cache comes from the shared stream decoder
+    (:mod:`repro.cpu.decoder`), one stream per text symbol, so the fetch
+    path and the static CFG consume the *same* decode of every shipped
+    kernel.  Every VM started on a copy of the text (an
+    :class:`~repro.memory.process.ImageTemplate` instance) copies the
+    decode cache and builds its dispatch table from the digests, so it
+    hashes and decodes nothing.  The table is the VM's own: the VM adds
+    the functions it translates lazily to it, and a function translated
+    from one trial's corrupted text must not reach any other.  It is
+    built when the VM first runs, so it holds every translation cached
+    by then and keeps clean ones recent in the translation cache.
+    """
+
+    def __init__(self, image: ProcessImage) -> None:
+        # Imported lazily: translate pulls in staticanalysis.cfg, which
+        # imports this module.
+        from repro.cpu import translate
+
+        text = image.text
+        self.version = version = text.version
+        self.functions = translate.text_functions(image)
+        self.decode_cache: dict[int, tuple[int, Insn]] = {}
+        for start, end, _, _ in self.functions:
+            insns = try_decode_stream(text.read_bytes(start, end - start))
+            if insns is None:
+                continue
+            for addr, insn in zip(range(start, end, INSN_SIZE), insns):
+                self.decode_cache[addr] = (version, insn)
 
 
 class VM:
-    """One virtual CPU bound to one process image."""
+    """One virtual CPU bound to one process image.  ``template``
+    describes the text the image starts with: the one it was copied
+    from, or by default the image's own."""
 
-    def __init__(self, image: ProcessImage) -> None:
+    def __init__(
+        self, image: ProcessImage, template: TextTemplate | None = None
+    ) -> None:
         self.image = image
         self.space = image.address_space
         self.clock = image.clock
@@ -68,7 +107,6 @@ class VM:
         #: Scheduled injection callbacks: sorted [(block_count, fn), ...].
         self._hooks: list[tuple[int, Callable[["VM"], None]]] = []
         self._next_hook: int | None = None
-        self._decode_cache: dict[int, tuple[int, Insn]] = {}
         self._running = False
         self.instructions_retired = 0
         #: Optional control-flow signature monitor
@@ -100,7 +138,10 @@ class VM:
         self._tracked = any(
             seg.tracking for seg in self.space.segments()
         )
-        self._prime_decode_cache()
+        if template is None:
+            template = TextTemplate(image)
+        self._template = template
+        self._decode_cache = dict(template.decode_cache)
 
     # ------------------------------------------------------------------
     # injection scheduling (the ptrace analogue)
@@ -311,12 +352,17 @@ class VM:
         # imports this module.
         from repro.cpu import translate
 
+        template = self._template
+        version = self.image.text.version
+        # Text versions only grow, so the template's version means the
+        # template's bytes, whose function digests it already holds.
+        functions = template.functions if version == template.version else None
         (
             self._fast_table,
             self._fast_loops,
             self._fast_pending,
-        ) = translate.build_vm_table(self.image)
-        self._fast_version = self.image.text.version
+        ) = translate.build_vm_table(self.image, functions)
+        self._fast_version = version
         self._fast_midflight = self.regs.eip
 
     def _translate_pending(self, eip: int) -> bool:
@@ -342,37 +388,6 @@ class VM:
     # ------------------------------------------------------------------
     # fetch/decode
     # ------------------------------------------------------------------
-    def _prime_decode_cache(self) -> None:
-        """Fill the per-address decode cache from the shared stream
-        decoder (:mod:`repro.cpu.decoder`), one stream per text symbol.
-        The fetch path and the static CFG therefore consume the *same*
-        decode of every shipped kernel.  Identical text images (every
-        rank and every trial of a campaign) share one primed prototype.
-        """
-        symtab = getattr(self.image, "symtab", None)
-        if symtab is None:
-            return
-        text = self.image.text
-        version = text.version
-        key = (code_digest(text.read_bytes(text.base, text.size)), version)
-        proto = _PRIMED_TEXT.get(key)
-        if proto is None:
-            proto = {}
-            for sym in symtab.symbols("text"):
-                if sym.size == 0 or sym.size % INSN_SIZE:
-                    continue
-                insns = try_decode_stream(text.read_bytes(sym.addr, sym.size))
-                if insns is None:
-                    continue
-                addr = sym.addr
-                for insn in insns:
-                    proto[addr] = (version, insn)
-                    addr += INSN_SIZE
-            if len(_PRIMED_TEXT) >= 64:
-                _PRIMED_TEXT.clear()
-            _PRIMED_TEXT[key] = proto
-        self._decode_cache = dict(proto)
-
     def _fetch(self, eip: int) -> Insn:
         text = self.image.text
         if text.contains(eip, INSN_SIZE):

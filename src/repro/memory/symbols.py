@@ -143,10 +143,12 @@ class Linker:
 
     def __init__(self) -> None:
         self._objects: list[ObjectDef] = []
+        self._names: set[str] = set()
 
     def add(self, obj: ObjectDef) -> ObjectDef:
-        if any(o.name == obj.name for o in self._objects):
+        if obj.name in self._names:
             raise ValueError(f"duplicate object {obj.name!r}")
+        self._names.add(obj.name)
         self._objects.append(obj)
         return obj
 
