@@ -316,8 +316,8 @@ class Campaign:
     #: Cross-campaign predictor cache.  The predictor is a pure function
     #: of the linked program and reference profile, so campaigns over
     #: the same (app, params, nprocs, seed) - successive regions, CLI
-    #: reruns, benchmark repetitions - share one build (~1.5 s of taint
-    #: dataflow for wavetoy).
+    #: reruns, benchmark repetitions - share one build (~0.5 s of static
+    #: analysis per app).
     _predictor_cache: dict = {}
 
     def outcome_predictor(self):

@@ -353,8 +353,3 @@ class AdiEngine:
     def idle(self) -> bool:
         """True when nothing is pending or in flight for this rank."""
         return not self.endpoint.pending()
-
-    def has_blockers(self) -> bool:
-        """True when the rank has posted receives or parked rendezvous
-        state that could still complete."""
-        return bool(self._posted or self._rndv_pending or self._rndv_expected)

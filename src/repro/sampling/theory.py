@@ -19,6 +19,15 @@ and because P is unknown, *oversampling* takes P = 0.5 (the maximizer):
 "For each of the test applications, we performed 400-500 injections in
 most regions.  With a confidence interval of 95 percent ... the
 estimation error d is 4.4-4.9 percent."
+
+The z-score comes from :func:`ndtri`, a port of the Cephes Math Library
+routine of the same name (Stephen L. Moshier, 1984-2000; the version
+SciPy compiles as ``scipy.special.ndtri`` and ``scipy.stats.norm.ppf``
+evaluates).  The rational-approximation coefficients P0/Q0, P1/Q1 and
+P2/Q2, the branch points ``exp(-2)`` and ``x < 8`` (``y > exp(-32)``)
+and the ``polevl``/``p1evl`` Horner order are Cephes's own, so every
+z-score - and with it every Cochran n, adaptive stopping decision and
+printed d - is bit-identical to SciPy's without importing it.
 """
 
 from __future__ import annotations
@@ -26,7 +35,121 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.stats import norm
+#: sqrt(2 pi)
+_S2PI = 2.50662827463100050242e0
+
+#: exp(-2): below it (in either tail) the central approximation ends.
+_EXP_M2 = 0.13533528323661269189
+
+#: Central region, 0 <= |y - 0.5| <= 3/8.
+_P0 = (
+    -5.99633501014107895267e1,
+    9.80010754185999661536e1,
+    -5.66762857469070293439e1,
+    1.39312609387279679503e1,
+    -1.23916583867381258016e0,
+)
+_Q0 = (  # leading 1.0 implied (p1evl)
+    1.95448858338141759834e0,
+    4.67627912898881538453e0,
+    8.63602421390890590575e1,
+    -2.25462687854119370527e2,
+    2.00260212380060660359e2,
+    -8.20372256168333339912e1,
+    1.59056225126211695515e1,
+    -1.18331621121330003142e0,
+)
+
+#: Tail, z = sqrt(-2 log y) in [2, 8): y in [exp(-32), exp(-2)).
+_P1 = (
+    4.05544892305962419923e0,
+    3.15251094599893866154e1,
+    5.71628192246421288162e1,
+    4.40805073893200834700e1,
+    1.46849561928858024014e1,
+    2.18663306850790267539e0,
+    -1.40256079171354495875e-1,
+    -3.50424626827848203418e-2,
+    -8.57456785154685413611e-4,
+)
+_Q1 = (
+    1.57799883256466749731e1,
+    4.53907635128879210584e1,
+    4.13172038254672030440e1,
+    1.50425385692907503408e1,
+    2.50464946208309415979e0,
+    -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2,
+    -9.33259480895457427372e-4,
+)
+
+#: Far tail, z in [8, 64): y in [exp(-2048), exp(-32)).
+_P2 = (
+    3.23774891776946035970e0,
+    6.91522889068984211695e0,
+    3.93881025292474443415e0,
+    1.33303460815807542389e0,
+    2.01485389549179081538e-1,
+    1.23716634817820021358e-2,
+    3.01581553508235416007e-4,
+    2.65806974686737550832e-6,
+    6.23974539184983293730e-9,
+)
+_Q2 = (
+    6.02427039364742014255e0,
+    3.67983563856160859403e0,
+    1.37702099489081330271e0,
+    2.16236993594496635890e-1,
+    1.34204006088543189037e-2,
+    3.28014464682127739104e-4,
+    2.89247864745380683936e-6,
+    6.79019408009981274425e-9,
+)
+
+
+def _polevl(x: float, coef: tuple[float, ...]) -> float:
+    """Cephes ``polevl``: Horner from the highest coefficient."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: float, coef: tuple[float, ...]) -> float:
+    """Cephes ``p1evl``: as :func:`_polevl` with an implied leading 1."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def ndtri(y0: float) -> float:
+    """Inverse of the standard normal CDF (Cephes ``ndtri``)."""
+    if y0 == 0.0:
+        return -math.inf
+    if y0 == 1.0:
+        return math.inf
+    if not 0.0 < y0 < 1.0:
+        raise ValueError(f"probability must be in [0, 1]: {y0}")
+    upper = True
+    y = y0
+    if y > 1.0 - _EXP_M2:
+        y = 1.0 - y
+        upper = False
+    if y > _EXP_M2:
+        y = y - 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _P0) / _p1evl(y2, _Q0))
+        return x * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:
+        x1 = z * _polevl(z, _P1) / _p1evl(z, _Q1)
+    else:
+        x1 = z * _polevl(z, _P2) / _p1evl(z, _Q2)
+    x = x0 - x1
+    return -x if upper else x
 
 
 def z_alpha(alpha: float = 0.05) -> float:
@@ -34,7 +157,7 @@ def z_alpha(alpha: float = 0.05) -> float:
     (z_{alpha/2}); 1.96 for alpha = 5 %."""
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1): {alpha}")
-    return float(norm.ppf(1 - alpha / 2))
+    return ndtri(1 - alpha / 2)
 
 
 def sample_size(d: float, alpha: float = 0.05, p: float = 0.5) -> int:

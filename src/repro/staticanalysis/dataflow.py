@@ -17,6 +17,7 @@ functions are gen/kill pairs composed per basic block.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -64,9 +65,12 @@ def solve(
     def is_boundary(b: int) -> bool:
         return not sources(b) if backward else b == 0
 
-    work = list(range(nblocks))
+    # FIFO without duplicates: a block already queued is not queued again.
+    work = deque(range(nblocks))
+    queued = set(work)
     while work:
-        b = work.pop(0)
+        b = work.popleft()
+        queued.discard(b)
         gathered: frozenset = boundary if is_boundary(b) else frozenset()
         for s in sources(b):
             gathered = gathered | out_sets[s]
@@ -78,7 +82,8 @@ def solve(
             cfg.blocks[b].preds if backward else cfg.blocks[b].succs
         )
         for d in dests:
-            if d not in work:
+            if d not in queued:
+                queued.add(d)
                 work.append(d)
     return in_sets, out_sets
 

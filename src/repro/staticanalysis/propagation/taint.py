@@ -46,7 +46,6 @@ Escape conditions (any one makes the site not-masked):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro.cpu import semantics
 from repro.cpu.assembler import AssembledFunction, assemble_function
@@ -137,7 +136,27 @@ class PropagationCone:
 
 
 class TaintAnalysis:
-    """Per-function taint queries over a shared points-to pre-pass."""
+    """Per-function taint queries over a shared points-to pre-pass.
+
+    Queries share three memos, and none of them can change a cone:
+
+    * ``_taint_step`` is a pure function of ``(state, insn)`` once the
+      points-to pre-pass is fixed, so a step, and a walk from any
+      instruction to its block's end, may be reused by every query;
+    * the empty state steps to the empty state (no source, no read hit,
+      nothing to write), so a block entered with no taint leaves with
+      none and adds nothing to the cone - only the seed block must be
+      walked from an empty state;
+    * a query hands :func:`solve` the same transfer values, memoized or
+      not, and ``solve``'s FIFO worklist visits blocks in an order fixed
+      by the CFG, so its fixpoint is a function of the query alone:
+      neither the order in which queries run nor which of them filled a
+      memo can change it, and ``cone_after`` is memoized per
+      ``(insn, reg)`` outright.  (The argument rests on purity, not on
+      monotonicity: a read through an unknown pointer marks
+      ``wild_read`` only while the base register is clean, so a larger
+      state can step to a state without it.)
+    """
 
     def __init__(
         self,
@@ -150,13 +169,17 @@ class TaintAnalysis:
         #: points-to state *before* each instruction: per-insn tuple of
         #: per-register frozensets of region tokens.
         self._pt_before = self._points_to()
-        #: (taint, insn) -> taint' memo.  The transfer is pure given the
-        #: points-to pre-pass, and per-site queries over one function
-        #: revisit the same states at the same instructions constantly
-        #: (every site's suffix walk converges to a handful of steady
-        #: states), so sharing steps across queries turns the all-sites
-        #: sweep from quadratic to near-linear on unrolled code.
+        #: (taint, insn) -> taint' memo.
         self._step_memo: dict[tuple[frozenset[str], int], frozenset[str]] = {}
+        #: (insn, taint) -> (state at the block's end, union of every
+        #: state from ``insn`` to the block's end).  Per-site walks
+        #: converge to a handful of steady states, so a later walk stops
+        #: where an earlier one reached the same state: the all-sites
+        #: sweep is near-linear in the function's length.
+        self._suffix_memo: dict[
+            tuple[int, frozenset[str]], tuple[frozenset[str], frozenset[str]]
+        ] = {}
+        self._cones: dict[tuple[int, int], PropagationCone] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -329,6 +352,53 @@ class TaintAnalysis:
                 new.update((f"reg:{EAX}", "x87", "anymem"))
         return frozenset(new)
 
+    def _suffix(
+        self, i: int, end: int, taint: frozenset[str]
+    ) -> tuple[frozenset[str], frozenset[str]]:
+        """``(state at end, union of every state)`` of a seed-free walk
+        from instruction ``i`` with ``taint`` to the block end ``end``."""
+        memo = self._suffix_memo
+        path: list[tuple[int, frozenset[str]]] = []
+        while True:
+            if i == end:
+                exit_state = ever = taint
+                break
+            hit = memo.get((i, taint))
+            if hit is not None:
+                exit_state, ever = hit
+                break
+            path.append((i, taint))
+            taint = self._taint_step(taint, i)
+            i += 1
+        for j, t in reversed(path):
+            if not t <= ever:
+                ever = ever | t
+            memo[(j, t)] = (exit_state, ever)
+        return exit_state, ever
+
+    def _walk(
+        self,
+        b: int,
+        taint: frozenset[str],
+        seed_site: tuple[int, int] | None,
+    ) -> tuple[frozenset[str], frozenset[str]]:
+        """``(out state, union of every state)`` of one pass through
+        block ``b``, adding the seed register right after its site."""
+        block = self.cfg.blocks[b]
+        if seed_site is None or self.cfg.block_of[seed_site[0]] != b:
+            if not taint:
+                return taint, taint  # the empty state steps to itself
+            return self._suffix(block.start, block.end, taint)
+        site, reg = seed_site
+        ever = taint
+        if taint:  # an empty prefix steps to itself: skip it
+            for i in range(block.start, site):
+                taint = self._taint_step(taint, i)
+                ever = ever | taint
+        taint = self._taint_step(taint, site) | {f"reg:{reg}"}
+        exit_state, rest = self._suffix(site + 1, block.end, taint)
+        return exit_state, ever | rest
+
     def _run(
         self,
         seed_entry: frozenset[str],
@@ -338,11 +408,7 @@ class TaintAnalysis:
         cfg = self.cfg
 
         def transfer(b: int, taint: frozenset) -> frozenset:
-            for i in cfg.blocks[b].insn_indices():
-                taint = self._taint_step(taint, i)
-                if seed_site is not None and i == seed_site[0]:
-                    taint = taint | {f"reg:{seed_site[1]}"}
-            return taint
+            return self._walk(b, taint, seed_site)[0]
 
         block_in, block_out = solve(
             cfg, backward=False, boundary=seed_entry, transfer=transfer
@@ -354,18 +420,11 @@ class TaintAnalysis:
         for block in cfg.blocks:
             if block.index not in self._reachable:
                 continue
-            taint = block_in[block.index]
-            if block.index == 0:
-                taint = taint | seed_entry
-            for i in block.insn_indices():
-                ever |= taint
-                taint = self._taint_step(taint, i)
-                if seed_site is not None and i == seed_site[0]:
-                    taint = taint | {f"reg:{seed_site[1]}"}
-                ever |= taint
+            out, seen = self._walk(block.index, block_in[block.index], seed_site)
+            ever |= seen
             if not block.succs:
                 saw_exit = True
-                exit_state |= taint
+                exit_state |= out
         if not saw_exit:  # infinite loop: every reachable point "exits"
             for block in cfg.blocks:
                 if block.index in self._reachable:
@@ -402,16 +461,22 @@ class TaintAnalysis:
             raise IndexError(f"no instruction {insn_index}")
         if not 0 <= reg < _NREGS:
             raise IndexError(f"no register {reg}")
+        cone = self._cones.get((insn_index, reg))
+        if cone is not None:
+            return cone
         label = f"insn {insn_index} reg {REG_NAMES[reg]}"
         if self.cfg.block_of[insn_index] not in self._reachable:
             # The site never executes: the empty cone, by construction.
-            return PropagationCone(
+            cone = PropagationCone(
                 function=self.cfg.name,
                 site=label,
                 tainted=frozenset(),
                 escapes=frozenset(),
             )
-        return self._run(frozenset(), (insn_index, reg), label)
+        else:
+            cone = self._run(frozenset(), (insn_index, reg), label)
+        self._cones[(insn_index, reg)] = cone
+        return cone
 
     def cone_from_tokens(self, tokens: frozenset[str]) -> PropagationCone:
         """Cone of "this memory is corrupt when the function starts" -
@@ -434,14 +499,3 @@ class TaintAnalysis:
         return tuple(
             sorted(r for r in eff.writes if r not in (ESP, EBP))
         )
-
-
-@lru_cache(maxsize=64)
-def _cached_from_source(name: str, source: str) -> TaintAnalysis:
-    return TaintAnalysis.from_source(name, source)
-
-
-def analysis_for_source(name: str, source: str) -> TaintAnalysis:
-    """Cached construction: app kernels are analysed repeatedly (CLI,
-    audit, oracle) and the points-to pre-pass dominates the cost."""
-    return _cached_from_source(name, source)
